@@ -21,9 +21,9 @@ from functools import lru_cache
 from itertools import product
 
 from .fusion import FusionRing, verify_fusion_ring
-from .linalg import (dims, eye, inverse, is_identity, matmul, mats_equal,
-                     msub, smul, zeros)
-from .report import Report
+from .linalg import (deviation, dims, eye, inverse, is_identity, matmul, smul,
+                     zeros)
+from .report import Report, witness
 from .scalars import Cyc, scalars_equal
 
 
@@ -46,35 +46,12 @@ def pair(w1, w2):
     return ("pair", w1, w2)
 
 
-def is_unit(w) -> bool:
-    return w == UNIT
-
-
-def word_leaves(w):
-    if w == UNIT:
-        return ()
-    if w[0] == "leaf":
-        return (w[1],)
-    return word_leaves(w[1]) + word_leaves(w[2])
-
-
 def word_str(ring: FusionRing, w) -> str:
     if w == UNIT:
         return "1"
     if w[0] == "leaf":
         return ring.labels[w[1]]
     return f"({word_str(ring, w[1])}*{word_str(ring, w[2])})"
-
-
-def left_word(ring: FusionRing, names) -> tuple:
-    """Left-nested word ((a*b)*c)... from label names or indices."""
-    idxs = [n if isinstance(n, int) else ring.idx(n) for n in names]
-    if not idxs:
-        return UNIT
-    w = leaf(idxs[0])
-    for a in idxs[1:]:
-        w = pair(w, leaf(a))
-    return w
 
 
 def dual_word(ring: FusionRing, w):
@@ -251,25 +228,21 @@ def invert_morphism(f: Morphism) -> Morphism:
     return Morphism(ring, f.cod, f.dom, _prune(blocks), f.one)
 
 
+def _blocks_deviation(f: Morphism, g: Morphism, tol: float = 0.0):
+    """linalg.deviation over the channel blocks: (differs, worst).  Morphisms
+    between different words differ."""
+    found = [deviation(f.block(z), g.block(z), tol)
+             for z in f.blocks.keys() | g.blocks.keys()]
+    return ((f.dom, f.cod) != (g.dom, g.cod) or any(d for d, _ in found),
+            max((w for _, w in found), default=0.0))
+
+
 def morphisms_equal(f: Morphism, g: Morphism, tol: float = 0.0) -> bool:
-    if f.dom != g.dom or f.cod != g.cod:
-        return False
-    return all(mats_equal(f.block(z), g.block(z), tol)
-               for z in f.blocks.keys() | g.blocks.keys())
-
-
-def morphism_deviation(f: Morphism, g: Morphism) -> float:
-    worst = 0.0
-    for z in f.blocks.keys() | g.blocks.keys():
-        D = msub(f.block(z), g.block(z))
-        for row in D:
-            for x in row:
-                worst = max(worst, abs(x.embed()))
-    return worst
+    return not _blocks_deviation(f, g, tol)[0]
 
 
 def is_identity_morphism(f: Morphism, tol: float = 0.0) -> bool:
-    return f.dom == f.cod and morphisms_equal(f, identity_morphism(f.ring, f.dom, f.one), tol)
+    return morphisms_equal(f, identity_morphism(f.ring, f.dom, f.one), tol)
 
 
 def elementary_morphisms(ring, w, y, one):
@@ -632,38 +605,13 @@ def trace(cat: Category, f: Morphism):
     return out
 
 
-def dimension(cat: Category, a: int):
-    return qdim(cat, a)
-
-
-def conditional_expectation(cat: Category, f: Morphism, W, X) -> Morphism:
-    """Partial trace over the right tensor factor: End(W*X) -> End(W)."""
-    if f.dom != pair(W, X) or f.cod != pair(W, X):
-        raise CategoryError("conditional expectation expects an endomorphism of W*X")
-    ring, one = cat.ring, cat.one
-    Xs = dual_word(ring, X)
-    idW = identity_morphism(ring, W, one)
-    idXs = identity_morphism(ring, Xs, one)
-    return compose_path(
-        runit_inv(ring, W, one),
-        tensor_morphisms(idW, coev_word(cat, X)),
-        tensor_morphisms(idW, tensor_morphisms(twist_inv_morphism(cat, X), idXs)),
-        associator(cat, W, X, Xs),
-        tensor_morphisms(f, idXs),
-        associator_inv(cat, W, X, Xs),
-        tensor_morphisms(idW, braiding(cat, X, Xs)),
-        tensor_morphisms(idW, ev_word(cat, X)),
-        runit(ring, W, one),
-    )
-
-
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
 
 def verify_pentagon(cat: Category, tol: float = 0.0) -> Report:
     ring, one = cat.ring, cat.one
-    bad, worst = [], 0.0
+    parts = []
     for a, b, c, d in product(range(ring.rank), repeat=4):
         A, B, C, D = leaf(a), leaf(b), leaf(c), leaf(d)
         lhs = compose_path(
@@ -675,11 +623,9 @@ def verify_pentagon(cat: Category, tol: float = 0.0) -> Report:
             associator(cat, A, B, pair(C, D)),
             associator(cat, pair(A, B), C, D),
         )
-        if not morphisms_equal(lhs, rhs, tol):
-            bad.append((a, b, c, d))
-            worst = max(worst, morphism_deviation(lhs, rhs))
+        parts.append(witness((a, b, c, d), _blocks_deviation(lhs, rhs, tol)))
     rep = Report()
-    rep.add("pentagon", not bad, worst, bad)
+    rep.record("pentagon", *parts)
     return rep
 
 
@@ -690,7 +636,7 @@ def verify_hexagons(cat: Category, tol: float = 0.0) -> Report:
         ("hexagon-braid", lambda U, V: braiding(cat, U, V)),
         ("hexagon-braid-inverse", lambda U, V: braiding_inv(cat, V, U)),
     ):
-        bad, worst = [], 0.0
+        parts = []
         for x, y, z in product(range(ring.rank), repeat=3):
             X, Y, Z = leaf(x), leaf(y), leaf(z)
             idY = identity_morphism(ring, Y, one)
@@ -705,10 +651,8 @@ def verify_hexagons(cat: Category, tol: float = 0.0) -> Report:
                 associator_inv(cat, Y, X, Z),
                 tensor_morphisms(idY, braid(X, Z)),
             )
-            if not morphisms_equal(lhs, rhs, tol):
-                bad.append((x, y, z))
-                worst = max(worst, morphism_deviation(lhs, rhs))
-        rep.add(name, not bad, worst, bad)
+            parts.append(witness((x, y, z), _blocks_deviation(lhs, rhs, tol)))
+        rep.record(name, *parts)
     return rep
 
 
@@ -718,33 +662,29 @@ def verify_ribbon(cat: Category, tol: float = 0.0) -> Report:
     if cat.theta is None:
         rep.add("ribbon-data", False, 0.0, ())
         return rep
-    unit_ok = scalars_equal(cat.theta[0], cat.one, tol)
-    rep.add("ribbon-unit", unit_ok, 0.0 if unit_ok else abs(cat.theta[0].embed() - 1))
+    differs, worst = deviation([[cat.theta[0]]], [[cat.one]], tol)
+    rep.add("ribbon-unit", not differs, worst)
     dual_bad = [(a,) for a in range(ring.rank)
                 if not scalars_equal(cat.theta[a], cat.theta[ring.dual[a]], tol)]
     rep.add("ribbon-duality", not dual_bad, float(len(dual_bad)), dual_bad)
 
-    bad, worst = [], 0.0
+    parts = []
     for a, b in product(range(ring.rank), repeat=2):
         A, B = leaf(a), leaf(b)
         double = compose(braiding(cat, B, A), braiding(cat, A, B))
         for c in channels(ring, pair(A, B)):
             s = cat.theta[a] * cat.theta[b] / cat.theta[c]
             target = smul(s, eye(ring.N[a][b][c], cat.one))
-            got = double.block(c)
-            if not mats_equal(got, target, tol):
-                bad.append((a, b, c))
-                D = msub(got, target)
-                worst = max(worst, max(abs(x.embed()) for row in D for x in row))
-    rep.add("ribbon-double-braid", not bad, worst, bad)
+            parts.append(witness((a, b, c),
+                                 deviation(double.block(c), target, tol)))
+    rep.record("ribbon-double-braid", *parts)
     return rep
 
 
 def verify_snakes(cat: Category, tol: float = 0.0) -> Report:
     ring, one = cat.ring, cat.one
     rep = Report()
-    bad1, bad2 = [], []
-    worst1 = worst2 = 0.0
+    right, left = [], []
     for a in range(ring.rank):
         A, As = leaf(a), leaf(ring.dual[a])
         idA = identity_morphism(ring, A, one)
@@ -757,9 +697,7 @@ def verify_snakes(cat: Category, tol: float = 0.0) -> Report:
                 tensor_morphisms(idA, ev(cat, a)),
                 runit(ring, A, one),
             )
-            if not is_identity_morphism(snake1, tol):
-                bad1.append((a,))
-                worst1 = max(worst1, morphism_deviation(snake1, idA))
+            right.append(witness((a,), _blocks_deviation(snake1, idA, tol)))
             snake2 = compose_path(
                 runit_inv(ring, As, one),
                 tensor_morphisms(idAs, coev(cat, a)),
@@ -767,13 +705,11 @@ def verify_snakes(cat: Category, tol: float = 0.0) -> Report:
                 tensor_morphisms(ev(cat, a), idAs),
                 lunit(ring, As, one),
             )
-            if not is_identity_morphism(snake2, tol):
-                bad2.append((a,))
-                worst2 = max(worst2, morphism_deviation(snake2, idAs))
+            left.append(witness((a,), _blocks_deviation(snake2, idAs, tol)))
         except CategoryError:
-            bad1.append((a,))
-    rep.add("snake-right", not bad1, worst1, bad1)
-    rep.add("snake-left", not bad2, worst2, bad2)
+            right.append(([(a,)], 0.0))
+    rep.record("snake-right", *right)
+    rep.record("snake-left", *left)
     return rep
 
 

@@ -18,12 +18,13 @@ from .files import (FileFormatError, algebra_from_json, algebra_to_json,
                     approx_category, category_from_json, load_json, save_json,
                     twist_to_json)
 from .functor import FunctorError, build_functor
-from .fusion import (DimensionFunction, FusionError, canonical_weak_dimension,
-                     is_weak_dimension_function, max_weak_dimension,
-                     minimize_dimension_function)
+from .fusion import (DimensionFunction, FusionError, _dimension_function,
+                     canonical_weak_dimension, is_weak_dimension_function,
+                     max_weak_dimension, minimize_dimension_function)
 from .hopf import (HopfError, reconstruct, verify_structure_transport,
                    verify_weak_axioms)
 from .report import Report
+from .scalars import Approx
 from .twist import TwistError, twist_between, verify_twist
 
 _INPUT_ERRORS = (CatalogError, CategoryError, FileFormatError, FusionError,
@@ -153,8 +154,12 @@ def _dimension(cfg: RunConfig, ring) -> DimensionFunction:
         return minimize_dimension_function(ring, cfg.bound)
     obj = load_json(cfg.dim)
     values = obj["D"] if isinstance(obj, dict) else obj
-    exact = bool(obj.get("exact", False)) if isinstance(obj, dict) else False
-    return DimensionFunction(tuple(int(v) for v in values), exact)
+    try:
+        values = tuple(int(v) for v in values)
+    except TypeError as exc:
+        raise FileFormatError(f"{cfg.dim}: D must list integers") from exc
+    # validated, and exactness recomputed rather than trusted from the file
+    return _dimension_function(ring, values)
 
 
 def _functor(cfg: RunConfig, cat, D, tag=None):
@@ -224,6 +229,10 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 def cmd_check_hopf(cfg: RunConfig) -> int:
     H = algebra_from_json(load_json(cfg.path))
+    stored = "approx" if isinstance(H.functor.cat.one, Approx) else "exact"
+    if stored != cfg.backend:
+        raise UsageError(f"backend mismatch: the dump holds {stored} scalars "
+                         f"but --backend is {cfg.backend}")
     report = _algebra_report(H, cfg.tolerance)
     if cfg.output:
         save_json(cfg.output, report.to_json())

@@ -19,10 +19,9 @@ from .category import (UNIT, Morphism, Category, compose, dual_morphism,
                        pair, scale_morphism, tensor_morphisms, tree_index,
                        trees)
 from .fusion import DimensionFunction, is_weak_dimension_function
-from .linalg import (LinalgError, eye, inverse, is_identity, kron, matmul,
-                     mats_equal, max_deviation, msub, rank, smul, transpose,
-                     zeros)
-from .report import Report
+from .linalg import (LinalgError, deviation, eye, inverse, kron, matmul, rank,
+                     smul, transpose, zeros)
+from .report import Report, witness
 
 
 class FunctorError(ValueError):
@@ -216,10 +215,6 @@ def tensorator(F: FunctorData, w1, w2):
     return C, Ci
 
 
-def duality_iso(F: FunctorData, a: int):
-    return F.d[a]
-
-
 def _word_list(F: FunctorData, count3: int = 4):
     """Deterministic word sample: unit, all leaves and pairs, a few triples."""
     ring = F.cat.ring
@@ -254,15 +249,13 @@ def verify_functor(F: FunctorData, tol: float = 0.0) -> Report:
     rng = random.Random("verify-functor")
     words = _word_list(F)
 
-    bad, worst = [], 0.0
+    parts = []
     for iw, w in enumerate(words):
         M = functor_on_morphism(F, identity_morphism(ring, w, one))
-        if not is_identity(M, tol):
-            bad.append((iw,))
-            worst = max(worst, max_deviation(msub(M, eye(len(M), one))))
-    rep.add("functor-identity", not bad, worst, bad)
+        parts.append(witness((iw,), deviation(M, eye(len(M), one), tol)))
+    rep.record("functor-identity", *parts)
 
-    bad, worst = [], 0.0
+    parts = []
     pairs = [(w, y) for w in words for y in words if w is not y]
     rng.shuffle(pairs)
     for iw, (w, y) in enumerate(pairs[:10] + [(w, w) for w in words]):
@@ -270,26 +263,21 @@ def verify_functor(F: FunctorData, tol: float = 0.0) -> Report:
         g = _sample_morphism(ring, w, y, one, rng)
         lhs = functor_on_morphism(F, compose(f, g))
         rhs = matmul(functor_on_morphism(F, f), functor_on_morphism(F, g))
-        if not mats_equal(lhs, rhs, tol):
-            bad.append((iw,))
-            worst = max(worst, max_deviation(msub(lhs, rhs)))
-    rep.add("functor-compose", not bad, worst, bad)
+        parts.append(witness((iw,), deviation(lhs, rhs, tol)))
+    rep.record("functor-compose", *parts)
 
-    bad, worst = [], 0.0
+    parts = []
     for a in range(ring.rank):
         for b in range(ring.rank):
             M = matmul(F.c[(a, b)], F.c_inv[(a, b)])
-            if not is_identity(M, tol):
-                bad.append((a, b))
-                worst = max(worst, max_deviation(msub(M, eye(len(M), one))))
+            parts.append(witness((a, b), deviation(M, eye(len(M), one), tol)))
             P = matmul(F.c_inv[(a, b)], F.c[(a, b)])
             R = _pair_rows(ring, F.D.values, a, b)
-            if not mats_equal(matmul(P, P), P, tol) or rank(P) != R:
-                bad.append((a, b))
-                worst = max(worst, max_deviation(msub(matmul(P, P), P)))
-    rep.add("tensorator-section", not bad, worst, bad)
+            differs, worst = deviation(matmul(P, P), P, tol)
+            parts.append(witness((a, b), (differs or rank(P) != R, worst)))
+    rep.record("tensorator-section", *parts)
 
-    bad, worst = [], 0.0
+    parts = []
     wpairs = [(w1, w2) for w1 in words for w2 in words]
     rng.shuffle(wpairs)
     for iw, (w1, w2) in enumerate(wpairs[:8]):
@@ -302,10 +290,8 @@ def verify_functor(F: FunctorData, tol: float = 0.0) -> Report:
         lhs = matmul(functor_on_morphism(F, tensor_morphisms(f, g)), cd)
         rhs = matmul(cc, kron(functor_on_morphism(F, f),
                               functor_on_morphism(F, g)))
-        if not mats_equal(lhs, rhs, tol):
-            bad.append((iw,))
-            worst = max(worst, max_deviation(msub(lhs, rhs)))
-    rep.add("tensorator-natural", not bad, worst, bad)
+        parts.append(witness((iw,), deviation(lhs, rhs, tol)))
+    rep.record("tensorator-natural", *parts)
 
     bad = []
     for a in range(ring.rank):
@@ -338,7 +324,7 @@ def verify_duality(F: FunctorData, tol: float = 0.0) -> Report:
     cat = F.cat
     ring, one = cat.ring, cat.one
     rep = Report()
-    bad, worst = [], 0.0
+    parts = []
     for a in range(ring.rank):
         ab = ring.dual[a]
         Da = F.D[a]
@@ -348,10 +334,8 @@ def verify_duality(F: FunctorData, tol: float = 0.0) -> Report:
         lhs = matmul(matmul(fe, cw), dI)
         svec = [[one.rational(1) if i == j else one.rational(0)
                  for i in range(Da) for j in range(Da)]]
-        if not mats_equal(lhs, svec, tol):
-            bad.append((a,))
-            worst = max(worst, max_deviation(msub(lhs, svec)))
-    rep.add("duality-pairing", not bad, worst, bad)
+        parts.append(witness((a,), deviation(lhs, svec, tol)))
+    rep.record("duality-pairing", *parts)
 
     bad = []
     for a in range(ring.rank):
@@ -361,14 +345,12 @@ def verify_duality(F: FunctorData, tol: float = 0.0) -> Report:
             bad.append((a,))
     rep.add("duality-invertible", not bad, float(len(bad)), bad)
 
-    bad, worst = [], 0.0
+    parts = []
     for a in range(ring.rank):
         s = one.rational(2) if a % 2 else one.rational(-3)
         f = scale_morphism(s, identity_morphism(ring, leaf(a), one))
         lhs = matmul(F.d[a], transpose(functor_on_morphism(F, f)))
         rhs = matmul(functor_on_morphism(F, dual_morphism(cat, f)), F.d[a])
-        if not mats_equal(lhs, rhs, tol):
-            bad.append((a,))
-            worst = max(worst, max_deviation(msub(lhs, rhs)))
-    rep.add("duality-natural", not bad, worst, bad)
+        parts.append(witness((a,), deviation(lhs, rhs, tol)))
+    rep.record("duality-natural", *parts)
     return rep

@@ -35,9 +35,6 @@ class FusionRing:
         except ValueError:
             raise FusionError(f"unknown label {label!r}") from None
 
-    def n(self, a: int, b: int, c: int) -> int:
-        return self.N[a][b][c]
-
 
 def make_fusion_ring(labels, dual, N) -> FusionRing:
     labels = tuple(labels)
@@ -113,19 +110,21 @@ def is_weak_dimension_function(ring: FusionRing, values) -> Report:
     rep.add("dim-positive", not pos_bad, float(len(pos_bad)), pos_bad)
     dual_bad = [(a,) for a in range(r) if values[a] != values[ring.dual[a]]]
     rep.add("dim-duality", not dual_bad, float(len(dual_bad)), dual_bad)
-    ineq_bad, worst, slack = [], 0, 0
+    ineq_bad, worst = [], 0
     for a, b in product(range(r), repeat=2):
         lhs = values[a] * values[b]
         rhs = sum(ring.N[a][b][c] * values[c] for c in range(r))
         if lhs < rhs:
             ineq_bad.append((a, b))
             worst = max(worst, rhs - lhs)
-        slack += lhs - rhs
     rep.add("dim-weak-inequality", not ineq_bad, float(worst), ineq_bad)
     return rep
 
 
 def _dimension_function(ring, values) -> DimensionFunction:
+    if len(values) != ring.rank:
+        raise FusionError(f"dimension vector {values} needs {ring.rank} "
+                          f"entries, one per label")
     rep = is_weak_dimension_function(ring, values)
     if not rep.passed:
         raise FusionError(

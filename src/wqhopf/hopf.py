@@ -19,10 +19,9 @@ from itertools import product
 from .category import (associator, associator_inv, braiding, braiding_inv,
                        coev, ev, leaf, pair, trees)
 from .functor import (FunctorData, _offsets, functor_on_morphism, tensorator)
-from .linalg import (LinalgError, eye, flip_matrix, inverse, kron, matmul,
-                     matmul_chain, max_deviation, msub, smul, transpose,
-                     zeros)
-from .report import Report
+from .linalg import (LinalgError, deviation, eye, flip_matrix, inverse, kron,
+                     matmul, matmul_chain, smul, transpose, zeros)
+from .report import Report, prefixed, witness
 
 
 class HopfError(ValueError):
@@ -58,9 +57,6 @@ def unit_element(H: WQHopf) -> dict:
 
 def element_mul(x: dict, y: dict) -> dict:
     return {a: matmul(x[a], y[a]) for a in x}
-
-def element_deviation(x: dict, y: dict) -> float:
-    return max(max_deviation(msub(x[a], y[a])) for a in x)
 
 
 def matrix_units(H: WQHopf):
@@ -136,17 +132,9 @@ def reconstruct(F: FunctorData) -> WQHopf:
 
     alpha, beta = {}, {}
     for a in range(rk):
-        ab = ring.dual[a]
-        evrow = matmul_chain(
-            functor_on_morphism(F, ev(cat, a)),
-            tensorator(F, leaf(ab), leaf(a))[0],
-            kron(F.d[a], eye(D[a], one)))
+        evrow, colv = _rigidity_maps(F, a)
         alpha[a] = [[evrow[0][i * D[a] + j] for j in range(D[a])]
                     for i in range(D[a])]
-        colv = matmul_chain(
-            kron(eye(D[a], one), inverse(F.d[a])),
-            tensorator(F, leaf(a), leaf(ab))[1],
-            functor_on_morphism(F, coev(cat, a)))
         beta[a] = [[colv[i * D[a] + j][0] for j in range(D[a])]
                    for i in range(D[a])]
 
@@ -156,6 +144,24 @@ def reconstruct(F: FunctorData) -> WQHopf:
 
     return WQHopf(F, blocks, delta_unit, phi, phi_inv, Rfam, Rinv,
                   alpha, beta, ribbon_v)
+
+
+def _rigidity_maps(F: FunctorData, a: int):
+    """The evaluation row F(dual a) (x) F(a) -> K and the coevaluation
+    column K -> F(a) (x) F(dual a) on the block spaces, with the dual leg
+    identified with K^{D(a)} through the duality matrix d(a)."""
+    cat, one = F.cat, F.cat.one
+    ab = cat.ring.dual[a]
+    da = F.D[a]
+    evrow = matmul_chain(
+        functor_on_morphism(F, ev(cat, a)),
+        tensorator(F, leaf(ab), leaf(a))[0],
+        kron(F.d[a], eye(da, one)))
+    colv = matmul_chain(
+        kron(eye(da, one), inverse(F.d[a])),
+        tensorator(F, leaf(a), leaf(ab))[1],
+        functor_on_morphism(F, coev(cat, a)))
+    return evrow, colv
 
 
 def coproduct(H: WQHopf, h: dict) -> dict:
@@ -184,10 +190,6 @@ def antipode(H: WQHopf, h: dict) -> dict:
     return out
 
 
-def irreducible_representations(H: WQHopf):
-    return list(H.blocks)
-
-
 # ---------------------------------------------------------------------------
 # families: dict over label tuples -> matrix on the tensor product of blocks
 # ---------------------------------------------------------------------------
@@ -196,15 +198,14 @@ def family_mul(x: dict, y: dict) -> dict:
     return {k: matmul(x[k], y[k]) for k in x}
 
 
-def family_deviation(x: dict, y: dict):
-    """(failing keys, worst embedded deviation) for exact-or-tol comparison."""
-    bad, worst = [], 0.0
-    for k in sorted(x):
-        dev = max_deviation(msub(x[k], y[k]))
-        if dev:
-            bad.append(k)
-            worst = max(worst, dev)
-    return bad, worst
+def family_deviation(x: dict, y: dict, tol: float = 0.0):
+    """(keys at which the families differ, worst deviation): a report part.
+
+    Each key's matrix pair is compared by linalg.deviation, so the verdict is
+    the scalars' own is_zero(tol) and the worst deviation a diagnostic."""
+    found = {k: deviation(x[k], y[k], tol) for k in sorted(x)}
+    return ([k for k, (differs, _) in found.items() if differs],
+            max((w for _, w in found.values()), default=0.0))
 
 
 def element_pair(H: WQHopf, x: dict, y: dict) -> dict:
@@ -351,37 +352,28 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
     rk = ring.rank
     rep = Report()
     basis = matrix_units(H)
-    unit = unit_element(H)
     dunit = H.delta_unit
 
-    bad, worst = family_deviation(family_mul(H.phi_inv, H.phi),
-                                  delta_slot(H, dunit, 2))
-    rep.add("ff1", _ok(bad, worst, tol), worst, bad)
-    bad, worst = family_deviation(family_mul(H.phi, H.phi_inv),
-                                  delta_slot(H, dunit, 1))
-    rep.add("ff2", _ok(bad, worst, tol), worst, bad)
+    rep.record("ff1", family_deviation(family_mul(H.phi_inv, H.phi),
+                                       delta_slot(H, dunit, 2), tol))
+    rep.record("ff2", family_deviation(family_mul(H.phi, H.phi_inv),
+                                       delta_slot(H, dunit, 1), tol))
     if H.R is not None:
-        bad, worst = family_deviation(family_mul(H.R, H.R_inv),
-                                      pair_flip(H, dunit))
-        rep.add("ff3", _ok(bad, worst, tol), worst, bad)
-        bad, worst = family_deviation(family_mul(H.R_inv, H.R), dunit)
-        rep.add("ff4", _ok(bad, worst, tol), worst, bad)
-    bad, worst = [], 0.0
-    for i in (1, 2, 3):
-        b, w = family_deviation(eps_slot(H, H.phi, i), dunit)
-        bad += [(i,) + k for k in b]
-        worst = max(worst, w)
-    rep.add("ff5", _ok(bad, worst, tol), worst, bad)
+        rep.record("ff3", family_deviation(family_mul(H.R, H.R_inv),
+                                           pair_flip(H, dunit), tol))
+        rep.record("ff4", family_deviation(family_mul(H.R_inv, H.R), dunit,
+                                           tol))
+    rep.record("ff5", *(prefixed((i,), family_deviation(eps_slot(H, H.phi, i),
+                                                        dunit, tol))
+                        for i in (1, 2, 3)))
 
-    bad, worst = [], 0.0
+    parts = []
     for a, i, j, h in basis:
         dh = coproduct(H, h)
         lhs = family_mul(H.phi, delta_slot(H, dh, 2))
         rhs = family_mul(delta_slot(H, dh, 1), H.phi)
-        b, w = family_deviation(lhs, rhs)
-        bad += [(a, i, j) + k for k in b]
-        worst = max(worst, w)
-    rep.add("quasi-coassociativity", _ok(bad, worst, tol), worst, bad)
+        parts.append(prefixed((a, i, j), family_deviation(lhs, rhs, tol)))
+    rep.record("quasi-coassociativity", *parts)
 
     # cocycle order for an associator mapping right-nested to left-nested:
     # delta_1 then delta_3 against delta_4 delta_2 delta_0
@@ -389,105 +381,78 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
     rhs = family_mul(family_mul(delta_slot(H, H.phi, 4),
                                 delta_slot(H, H.phi, 2)),
                      delta_slot(H, H.phi, 0))
-    bad, worst = family_deviation(lhs, rhs)
-    rep.add("phi-pentagon", _ok(bad, worst, tol), worst, bad)
+    rep.record("phi-pentagon", family_deviation(lhs, rhs, tol))
 
     if H.R is not None:
-        bad, worst = [], 0.0
+        parts = []
         for a, i, j, h in basis:
             dh = coproduct(H, h)
             lhs = family_mul(H.R, dh)
             rhs = family_mul(pair_flip(H, dh), H.R)
-            b, w = family_deviation(lhs, rhs)
-            bad += [(a, i, j) + k for k in b]
-            worst = max(worst, w)
-        rep.add("r-intertwine", _ok(bad, worst, tol), worst, bad)
+            parts.append(prefixed((a, i, j), family_deviation(lhs, rhs, tol)))
+        rep.record("r-intertwine", *parts)
 
-    bad, worst = [], 0.0
-    for a, i, j, h in basis:
-        eh = counit(H, h)
-        for x in range(rk):
-            lhs = smul(eh, H.alpha[x])
-            rhs = _sweedler_pair(H, h, x, True)
-            dev = max_deviation(msub(lhs, rhs))
-            if dev:
-                bad.append((a, i, j, x))
-                worst = max(worst, dev)
-    rep.add("antipode-alpha", _ok(bad, worst, tol), worst, bad)
+    for name, snake, left in (("antipode-alpha", H.alpha, True),
+                              ("antipode-beta", H.beta, False)):
+        parts = []
+        for a, i, j, h in basis:
+            eh = counit(H, h)
+            for x in range(rk):
+                lhs = smul(eh, snake[x])
+                rhs = _sweedler_pair(H, h, x, left)
+                parts.append(witness((a, i, j, x), deviation(lhs, rhs, tol)))
+        rep.record(name, *parts)
 
-    bad, worst = [], 0.0
-    for a, i, j, h in basis:
-        eh = counit(H, h)
-        for x in range(rk):
-            lhs = smul(eh, H.beta[x])
-            rhs = _sweedler_pair(H, h, x, False)
-            dev = max_deviation(msub(lhs, rhs))
-            if dev:
-                bad.append((a, i, j, x))
-                worst = max(worst, dev)
-    rep.add("antipode-beta", _ok(bad, worst, tol), worst, bad)
-
-    bad, worst = [], 0.0
+    parts = []
     for a, i, j, h in basis:
         dh = coproduct(H, h)
         for b in range(rk):
-            lv = dh[(0, b)]
-            rv = dh[(b, 0)]
-            d1 = max_deviation(msub(lv, h[b]))
-            d2 = max_deviation(msub(rv, h[b]))
-            if d1 or d2:
-                bad.append((a, i, j, b))
-                worst = max(worst, d1, d2)
-    rep.add("counit-laws", _ok(bad, worst, tol), worst, bad)
+            # both unit legs at once: Delta(h) at (1, b) stacked over (b, 1)
+            parts.append(witness((a, i, j, b), deviation(
+                dh[(0, b)] + dh[(b, 0)], h[b] + h[b], tol)))
+    rep.record("counit-laws", *parts)
 
-    bad, worst = [], 0.0
+    parts = []
     for a, i, j, h in basis:
         for b, k, l, g in basis:
             lhs = coproduct(H, element_mul(h, g))
             rhs = family_mul(coproduct(H, h), coproduct(H, g))
-            bb, w = family_deviation(lhs, rhs)
-            if bb:
-                bad.append((a, i, j, b, k, l))
-                worst = max(worst, w)
-    rep.add("coproduct-multiplicative", _ok(bad, worst, tol), worst, bad)
+            parts.append(witness((a, i, j, b, k, l),
+                                 family_deviation(lhs, rhs, tol)))
+    rep.record("coproduct-multiplicative", *parts)
 
-    bad, worst = family_deviation(family_mul(dunit, dunit), dunit)
-    rep.add("coproduct-unit-idempotent", _ok(bad, worst, tol), worst, bad)
+    rep.record("coproduct-unit-idempotent",
+               family_deviation(family_mul(dunit, dunit), dunit, tol))
 
-    bad, worst = [], 0.0
+    parts = []
     for a, i, j, h in basis:
         for b, k, l, g in basis:
             lhs = antipode(H, element_mul(h, g))
             rhs = element_mul(antipode(H, g), antipode(H, h))
-            dev = element_deviation(lhs, rhs)
-            if dev:
-                bad.append((a, i, j, b, k, l))
-                worst = max(worst, dev)
-    rep.add("antipode-antimultiplicative", _ok(bad, worst, tol), worst, bad)
+            parts.append(witness((a, i, j, b, k, l),
+                                 family_deviation(lhs, rhs, tol)))
+    rep.record("antipode-antimultiplicative", *parts)
 
     if H.ribbon_v is not None:
         v = H.ribbon_v
-        bad, worst = [], 0.0
-        for a, i, j, h in basis:
-            dev = element_deviation(element_mul(v, h), element_mul(h, v))
-            if dev:
-                bad.append((a, i, j))
-                worst = max(worst, dev)
-        rep.add("ribbon-central", _ok(bad, worst, tol), worst, bad)
+        rep.record("ribbon-central", *(
+            witness((a, i, j), family_deviation(element_mul(v, h),
+                                                element_mul(h, v), tol))
+            for a, i, j, h in basis))
 
-        ev_dev = abs((counit(H, v) - one.rational(1)).embed())
-        rep.add("ribbon-counit", ev_dev <= tol, ev_dev, ())
+        differs, worst = deviation([[counit(H, v)]], [[one]], tol)
+        rep.add("ribbon-counit", not differs, worst)
 
-        dev = element_deviation(antipode(H, v), v)
-        rep.add("ribbon-antipode", dev <= tol, dev, ())
+        differs, worst = family_deviation(antipode(H, v), v, tol)
+        rep.add("ribbon-antipode", not differs, worst)
 
         if H.R is not None:
             r21 = pair_flip(H, H.R)
             r21_inv = pair_flip(H, H.R_inv)
             q_inv = family_mul(H.R_inv, r21_inv)
             rhs = family_mul(q_inv, element_pair(H, v, v))
-            bad, worst = family_deviation(coproduct(H, v), rhs)
-            rep.add("ribbon-coproduct", _ok(bad, worst, tol), worst, bad)
+            rep.record("ribbon-coproduct",
+                       family_deviation(coproduct(H, v), rhs, tol))
 
     bad = []
     for x in range(rk):
@@ -499,10 +464,6 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
     # invertibility of alpha/beta is informational, never a failure
     rep.add("alpha-beta-invertible", True, float(len(bad)), bad)
     return rep
-
-
-def _ok(bad, worst, tol):
-    return not bad or worst <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +483,7 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
     basis = matrix_units(H)
 
     # (i) intertwiner bases from the fusion trees
-    bad_int, bad_span, worst = [], [], 0.0
+    parts, bad_span = [], []
     bases = {}
     for a in range(rk):
         for b in range(rk):
@@ -541,10 +502,8 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
                     for x, i, j, h in basis:
                         lhs = matmul(T, dcop[(x, i, j)])
                         rhs = matmul(h[z], T)
-                        dev = max_deviation(msub(lhs, rhs))
-                        if dev:
-                            bad_int.append((a, b, z, it, x))
-                            worst = max(worst, dev)
+                        parts.append(witness((a, b, z, it, x),
+                                             deviation(lhs, rhs, tol)))
                 # independence and spanning: solve the intertwiner system
                 flat = [[T[r][cc] for r in range(D[z])
                          for cc in range(D[a] * D[b])] for T in Ts]
@@ -569,12 +528,12 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
                             rows.append(row)
                 if len(nullspace(rows, tol)) != nz:
                     bad_span.append((a, b, z, "span"))
-    rep.add("transport-intertwiner", _ok(bad_int, worst, tol), worst, bad_int)
+    rep.record("transport-intertwiner", *parts)
     rep.add("transport-span", not bad_span, float(len(bad_span)), bad_span)
 
     # (ii) braiding scalars through the Rep-side braiding
-    bad, worst = [], 0.0
     if H.R is not None:
+        parts = []
         for a in range(rk):
             for b in range(rk):
                 rep_braid = matmul(flip_matrix(D[a], D[b], one), H.R[(a, b)])
@@ -595,29 +554,20 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
                                   for cc in range(D[a] * D[b])]
                         coeffs = solve(flat, target, tol)
                         if coeffs is None:
-                            bad.append((a, b, z, nu, "unsolvable"))
+                            parts.append(([(a, b, z, nu, "unsolvable")], 0.0))
                             continue
                         for mu in range(nz):
-                            dev = max_deviation(
-                                msub([[coeffs[mu][0]]], [[tbl[mu][nu]]]))
-                            if dev:
-                                bad.append((a, b, z, mu, nu))
-                                worst = max(worst, dev)
-        rep.add("transport-braiding", _ok(bad, worst, tol), worst, bad)
+                            parts.append(witness((a, b, z, mu, nu), deviation(
+                                [[coeffs[mu][0]]], [[tbl[mu][nu]]], tol)))
+        rep.record("transport-braiding", *parts)
 
     # (iii) Rep-side rigidity: ev/coev intertwine and the bent snake closes
-    bad, worst = [], 0.0
+    rigidity = {a: _rigidity_maps(F, a) for a in range(rk)}
+    parts = []
     for a in range(rk):
         ab = ring.dual[a]
         da = D[a]
-        evrow = matmul_chain(
-            functor_on_morphism(F, ev(cat, a)),
-            tensorator(F, leaf(ab), leaf(a))[0],
-            kron(F.d[a], eye(da, one)))
-        colv = matmul_chain(
-            kron(eye(da, one), inverse(F.d[a])),
-            tensorator(F, leaf(a), leaf(ab))[1],
-            functor_on_morphism(F, coev(cat, a)))
+        evrow, colv = rigidity[a]
         dinv = inverse(F.d[a])
         for x, i, j, h in basis:
             # ev o (rho* (x) rho)(Delta h): rho*(g) = dinv . g_dual . d
@@ -626,10 +576,7 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
                                kron(F.d[a], eye(da, one)))
             lhs = matmul(evrow, act)
             rhs = smul(counit(H, h), evrow)
-            dev = max_deviation(msub(lhs, rhs))
-            if dev:
-                bad.append((a, x, i, j))
-                worst = max(worst, dev)
+            parts.append(witness((a, x, i, j), deviation(lhs, rhs, tol)))
         # the dual rep lives on K^{D(a)} through d, so the middle leg of
         # phi_inv (an F(dual a) block leg) is conjugated accordingly
         assoc = matmul_chain(
@@ -638,27 +585,16 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
             kron(kron(eye(da, one), F.d[a]), eye(da, one)))
         snake = matmul_chain(kron(eye(da, one), evrow), assoc,
                              kron(colv, eye(da, one)))
-        dev = max_deviation(msub(snake, eye(da, one)))
-        if dev:
-            bad.append((a, "snake"))
-            worst = max(worst, dev)
-    rep.add("transport-rigidity", _ok(bad, worst, tol), worst, bad)
+        parts.append(witness((a, "snake"), deviation(snake, eye(da, one), tol)))
+    rep.record("transport-rigidity", *parts)
 
     # (iv) the algebra-side evaluation is the plain pairing twisted by alpha
-    bad, worst = [], 0.0
+    parts = []
     for a in range(rk):
-        ab = ring.dual[a]
         da = D[a]
-        evrow = matmul_chain(
-            functor_on_morphism(F, ev(cat, a)),
-            tensorator(F, leaf(ab), leaf(a))[0],
-            kron(F.d[a], eye(da, one)))
         plain = [[one.rational(1) if i == j else one.rational(0)
                   for i in range(da) for j in range(da)]]
         rhs = matmul(plain, kron(eye(da, one), H.alpha[a]))
-        dev = max_deviation(msub(evrow, rhs))
-        if dev:
-            bad.append((a,))
-            worst = max(worst, dev)
-    rep.add("transport-alpha-pairing", _ok(bad, worst, tol), worst, bad)
+        parts.append(witness((a,), deviation(rigidity[a][0], rhs, tol)))
+    rep.record("transport-alpha-pairing", *parts)
     return rep

@@ -7,7 +7,7 @@ exact for the cyclotomic backend and magnitude-based for the complex one.
 
 from __future__ import annotations
 
-from .scalars import Approx, Cyc, from_int_like, one_like, zero_like
+from .scalars import Approx, from_int_like, one_like, zero_like
 
 
 class LinalgError(ValueError):
@@ -47,10 +47,6 @@ def madd(A, B):
 
 def msub(A, B):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mneg(A):
-    return [[-x for x in row] for row in A]
 
 
 def smul(s, A):
@@ -105,25 +101,6 @@ def kron(A, B):
     return out
 
 
-def direct_sum(blocks, like=None):
-    blocks = list(blocks)
-    if like is None:
-        like = next((b[0][0] for b in blocks if dims(b)[0] and dims(b)[1]), None)
-        if like is None:
-            raise LinalgError("direct_sum of empty blocks needs a sample scalar")
-    R = sum(dims(b)[0] for b in blocks)
-    C = sum(dims(b)[1] for b in blocks)
-    out = zeros(R, C, like)
-    r0 = c0 = 0
-    for b in blocks:
-        rb, cb = dims(b)
-        for i in range(rb):
-            out[r0 + i][c0:c0 + cb] = b[i][:]
-        r0 += rb
-        c0 += cb
-    return out
-
-
 def flip_matrix(p, q, like):
     """The swap K^p (x) K^q -> K^q (x) K^p, e_i (x) e_j -> e_j (x) e_i."""
     out = zeros(p * q, p * q, like)
@@ -134,21 +111,28 @@ def flip_matrix(p, q, like):
     return out
 
 
-def is_zero_mat(M, tol=0.0):
-    return all(x.is_zero(tol) for row in M for x in row)
+def deviation(A, B, tol=0.0):
+    """Compare two matrices entrywise; returns (differs, worst).
 
-
-def mats_equal(A, B, tol=0.0):
-    if dims(A) != dims(B):
-        return False
-    return is_zero_mat(msub(A, B), tol)
+    differs is the verdict: some entry of A - B fails the scalar's own
+    is_zero(tol), which is an exact zero test for Cyc and |x| <= tol for
+    Approx, or the shapes differ.  worst is a float diagnostic only: the
+    largest embedded |A - B| over the entries that are not exactly zero.  An
+    exact difference below float resolution therefore differs and reads 0.0.
+    """
+    differs, worst = dims(A) != dims(B), 0.0
+    for ra, rb in zip(A, B):
+        for x, y in zip(ra, rb):
+            d = x - y
+            if not d.is_zero():
+                worst = max(worst, abs(d.embed()))
+                differs = differs or not d.is_zero(tol)
+    return differs, worst
 
 
 def is_identity(M, tol=0.0):
     r, c = dims(M)
-    if r != c:
-        return False
-    return mats_equal(M, eye(r, M[0][0] if r else None), tol)
+    return r == c and not deviation(M, eye(r, M[0][0] if r else None), tol)[0]
 
 
 def max_deviation(M):
@@ -264,10 +248,6 @@ def reshape_vector(v, r, c):
     if len(v) != r * c:
         raise LinalgError(f"cannot reshape length {len(v)} into {r}x{c}")
     return [v[i * c:(i + 1) * c] for i in range(r)]
-
-
-def flatten(M):
-    return [x for row in M for x in row]
 
 
 def mat_to_json(M):

@@ -29,6 +29,13 @@ class Report:
     def add(self, id, passed, worst_deviation=0.0, witnesses=()):
         self.checks.append(Check(id, bool(passed), float(worst_deviation), tuple(witnesses)))
 
+    def record(self, id, *parts):
+        """Add a check from (witnesses, worst deviation) parts: it fails when
+        any part holds a witness, and reports the worst of all parts."""
+        witnesses = [w for ws, _ in parts for w in ws]
+        self.add(id, not witnesses, max((w for _, w in parts), default=0.0),
+                 witnesses)
+
     def extend(self, other: "Report"):
         self.checks.extend(other.checks)
         return self
@@ -65,3 +72,16 @@ class Report:
         lines.append(f"{'OK' if self.passed else 'VIOLATIONS'}: "
                      f"{sum(c.passed for c in self.checks)}/{len(self.checks)} checks passed")
         return "\n".join(lines)
+
+
+def witness(w, found):
+    """The part holding the single witness w when found = (differs, worst)
+    differs; a (witnesses, worst) part differs when it holds any witness."""
+    differs, worst = found
+    return ([w] if differs else [], worst)
+
+
+def prefixed(prefix, part):
+    """The (witnesses, worst) part with prefix prepended to each witness."""
+    witnesses, worst = part
+    return ([prefix + w for w in witnesses], worst)

@@ -16,9 +16,8 @@ from itertools import product
 
 from .hopf import (WQHopf, coproduct, delta_slot, family_deviation,
                    family_mul, matrix_units, pair_flip)
-from .linalg import (LinalgError, eye, inverse, matmul, matmul_chain,
-                     max_deviation, msub)
-from .report import Report
+from .linalg import LinalgError, deviation, eye, inverse, matmul, matmul_chain
+from .report import Report, prefixed
 
 
 class TwistError(ValueError):
@@ -69,8 +68,7 @@ def twist_between(H1: WQHopf, H2: WQHopf) -> TwistElement:
             except LinalgError:
                 raise TwistError(
                     f"comparison not invertible at pair ({a}, {b})")
-            if max_deviation(msub(matmul(cmp_iso, F1.c[(a, b)]),
-                                  F2.c[(a, b)])):
+            if deviation(matmul(cmp_iso, F1.c[(a, b)]), F2.c[(a, b)])[0]:
                 raise TwistError(
                     f"tensorators at pair ({a}, {b}) do not differ by a "
                     f"codomain isomorphism")
@@ -85,26 +83,21 @@ def verify_twist(H1: WQHopf, H2: WQHopf, T: TwistElement,
     rep = Report()
     dunit = H1.delta_unit
 
-    bad1, w1 = family_deviation(family_mul(T.T, T.T_inv), dunit)
-    bad2, w2 = family_deviation(family_mul(T.T_inv, T.T), dunit)
-    worst = max(w1, w2)
-    bad = bad1 + bad2
-    rep.add("twist-quasi-inverse", not bad or worst <= tol, worst, bad)
+    rep.record("twist-quasi-inverse",
+               family_deviation(family_mul(T.T, T.T_inv), dunit, tol),
+               family_deviation(family_mul(T.T_inv, T.T), dunit, tol))
 
-    bad, worst = [], 0.0
+    parts = []
     for a, i, j, h in matrix_units(H1):
         lhs = coproduct(H2, h)
         rhs = family_mul(family_mul(T.T, coproduct(H1, h)), T.T_inv)
-        b, w = family_deviation(lhs, rhs)
-        bad += [(a, i, j) + k for k in b]
-        worst = max(worst, w)
-    rep.add("twist-coproduct", not bad or worst <= tol, worst, bad)
+        parts.append(prefixed((a, i, j), family_deviation(lhs, rhs, tol)))
+    rep.record("twist-coproduct", *parts)
 
     if H1.R is not None:
         lhs = H2.R
         rhs = family_mul(family_mul(pair_flip(H1, T.T), H1.R), T.T_inv)
-        bad, worst = family_deviation(lhs, rhs)
-        rep.add("twist-braiding", not bad or worst <= tol, worst, bad)
+        rep.record("twist-braiding", family_deviation(lhs, rhs, tol))
 
     # conjugating both nestings of the coproduct moves the associator to
     # (T x 1) (Delta x id)(T) phi (id x Delta)(T^{-1}) (1 x T^{-1})
@@ -112,8 +105,7 @@ def verify_twist(H1: WQHopf, H2: WQHopf, T: TwistElement,
     rhs = family_mul(family_mul(family_mul(family_mul(
         delta_slot(H1, T.T, 3), delta_slot(H1, T.T, 1)), H1.phi),
         delta_slot(H1, T.T_inv, 2)), delta_slot(H1, T.T_inv, 0))
-    bad, worst = family_deviation(lhs, rhs)
-    rep.add("twist-associator", not bad or worst <= tol, worst, bad)
+    rep.record("twist-associator", family_deviation(lhs, rhs, tol))
     return rep
 
 

@@ -41,6 +41,13 @@ def ising_hopf(ising_cat):
 
 
 @pytest.fixture(scope="session")
+def z2_weak():
+    """vec_zn(2, 1) at D = (1, 2): the smallest weak reconstruction, dim 5."""
+    cat = builtin("vec_zn", n=2, q=1).category
+    return reconstruct(build_functor(cat, DimensionFunction((1, 2), False)))
+
+
+@pytest.fixture(scope="session")
 def z3_hopf(z3_cat):
     D = DimensionFunction((1, 1, 1), exact=True)
     return reconstruct(build_functor(z3_cat, D))

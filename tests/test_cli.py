@@ -94,6 +94,18 @@ def test_dims_from_file_and_dump(tmp_path, capsys):
     assert obj["objective"] == 5 and obj["D"] == [1, 2]
 
 
+def test_dims_file_is_validated(tmp_path, capsys):
+    dfile = tmp_path / "d.json"
+    save_json(str(dfile), {"D": [1, 3], "exact": True})
+    assert main(["dims", "--builtin", "fibonacci", "--dim", str(dfile)]) == 0
+    assert "exact: no" in capsys.readouterr().out
+    for bad in ([2, 2], [1, 0], [1], [1, None]):
+        save_json(str(dfile), {"D": bad})
+        assert main(["dims", "--builtin", "fibonacci", "--dim",
+                     str(dfile)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_dims_infeasible_bound(capsys):
     assert main(["dims", "--builtin", "fibonacci", "--minimal", "1"]) == 2
 
@@ -121,6 +133,19 @@ def test_check_hopf_rejects_tampered_provenance(tmp_path, capsys):
     save_json(str(dump), obj)
     assert main(["check-hopf", str(dump)]) == 2
     assert "hash" in capsys.readouterr().err
+
+
+def test_check_hopf_backend_mismatch(tmp_path, capsys):
+    exact, approx = tmp_path / "e.json", tmp_path / "a.json"
+    argv = ["reconstruct", "--builtin", "vec_zn", "--n", "2", "--q", "1",
+            "--minimal", "1"]
+    assert main(argv + ["-o", str(exact)]) == 0
+    assert main(argv + ["--backend", "approx", "-o", str(approx)]) == 0
+    capsys.readouterr()
+    assert main(["check-hopf", str(approx)]) == 2
+    assert "backend mismatch" in capsys.readouterr().err
+    assert main(["check-hopf", str(exact), "--backend", "approx"]) == 2
+    assert "backend mismatch" in capsys.readouterr().err
 
 
 def test_twist_command_and_dump(tmp_path, capsys):

@@ -2,7 +2,7 @@
 
 from wqhopf.catalog import builtin
 from wqhopf.category import leaf, pair
-from wqhopf.functor import (build_functor, duality_iso, functor_on_morphism,
+from wqhopf.functor import (build_functor, functor_on_morphism,
                             functor_on_object, tensorator, verify_duality,
                             verify_functor, _pair_rows)
 from wqhopf.fusion import (DimensionFunction, canonical_weak_dimension,
@@ -100,6 +100,6 @@ def test_duality_iso_invertible(ising_cat):
     D = minimize_dimension_function(ising_cat.ring, 4)
     F = build_functor(ising_cat, D)
     for a in range(ising_cat.ring.rank):
-        d = duality_iso(F, a)
+        d = F.d[a]
         assert len(d) == D[ising_cat.ring.dual[a]] and len(d[0]) == D[a]
         inverse(d)  # raises if singular
