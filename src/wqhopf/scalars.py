@@ -1,10 +1,12 @@
 """Exact arithmetic in cyclotomic fields, plus a tolerance-based complex backend.
 
-An exact scalar is an element of Q(zeta_n) stored as a rational coordinate
-vector over the power basis 1, zeta, ..., zeta^(phi(n)-1), always reduced
-modulo the n-th cyclotomic polynomial.  No floating point enters any exact
-code path; irrational constants (sqrt 2, the golden ratio, ...) are written
-as cyclotomic expressions, e.g. sqrt(5) = z5 + z5^4 - z5^2 - z5^3.
+An exact scalar is an element of Q(zeta_n) written over the power basis
+1, zeta, ..., zeta^(phi(n)-1) as integer numerators over one positive integer
+denominator.  Phi_n is monic with integer coefficients, so the coordinates of
+every power zeta^k are integers, and a product reduces through a precomputed
+integer table without leaving the integers.  No floating point enters any
+exact code path; irrational constants (sqrt 2, the golden ratio, ...) are
+written as cyclotomic expressions, e.g. sqrt(5) = z5 + z5^4 - z5^2 - z5^3.
 
 Two backends:
 
@@ -13,7 +15,9 @@ Two backends:
 
 Mixing backends in one operation raises ``MixedBackendError``.  Canonical
 form (used for hashing and serialization) rewrites a value over the smallest
-cyclotomic field that contains it.
+cyclotomic field that contains it.  ``Fraction`` appears only at the edges:
+the constructor, the rational coordinates ``Cyc.c``, canonicalization and
+JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class ScalarError(ValueError):
@@ -52,15 +56,6 @@ def _pmul(a, b):
         for j, y in enumerate(b):
             if y != 0:
                 out[i + j] += x * y
-    return _ptrim(out)
-
-
-def _psub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
     return _ptrim(out)
 
 
@@ -111,7 +106,10 @@ def cyclotomic_polynomial(n: int):
 
 @lru_cache(maxsize=None)
 def _zeta_power(n: int, k: int):
-    """Coordinates of zeta_n^k over the power basis, as a tuple of Fractions."""
+    """Coordinates of zeta_n^k by polynomial division over Q, as Fractions.
+
+    The reference route: tests compare ``_zeta_table`` against it.
+    """
     k %= n
     phi = euler_phi(n)
     if k < phi:
@@ -125,7 +123,11 @@ def _zeta_power(n: int, k: int):
 
 
 def _reduce(n, coeffs):
-    """Reduce arbitrary-length coordinates mod Phi_n to length phi(n)."""
+    """Reduce arbitrary-length Fraction coordinates mod Phi_n to length phi(n).
+
+    The reference route for ``Cyc`` arithmetic: tests compare products and
+    sums against ``_reduce(n, _pmul(a, b))``.
+    """
     phi = euler_phi(n)
     out = [Fraction(0)] * phi
     for k, c in enumerate(coeffs):
@@ -138,6 +140,33 @@ def _reduce(n, coeffs):
 
 
 @lru_cache(maxsize=None)
+def _zeta_table(n: int):
+    """Integer coordinates of zeta_n^k for k = 0, ..., n-1.
+
+    Row k is row k-1 times x, reduced once by the monic integer Phi_n:
+    x^phi = -(Phi_0 + Phi_1 x + ... + Phi_(phi-1) x^(phi-1)).
+    """
+    phi = euler_phi(n)
+    poly = [int(c) for c in cyclotomic_polynomial(n)[:phi]]
+    rows = [tuple(int(j == k) for j in range(phi)) for k in range(phi)]
+    while len(rows) < n:
+        prev = rows[-1]
+        top = prev[-1]
+        rows.append(tuple((prev[j - 1] if j else 0) - top * poly[j]
+                          for j in range(phi)))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _fold_rows(n: int):
+    """Nonzero (j, coefficient) pairs of zeta_n^k for phi <= k <= 2 phi - 2:
+    the powers a product of two reduced vectors reaches."""
+    phi, table = euler_phi(n), _zeta_table(n)
+    return tuple(tuple((j, c) for j, c in enumerate(table[k % n]) if c)
+                 for k in range(phi, 2 * phi - 1))
+
+
+@lru_cache(maxsize=None)
 def _divisors(n: int):
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
@@ -146,7 +175,8 @@ def _divisors(n: int):
 def _subfield_matrix(n: int, d: int):
     """Columns are the Q(zeta_n)-coordinates of zeta_d^j, j < phi(d)."""
     step = n // d
-    cols = [_zeta_power(n, step * j) for j in range(euler_phi(d))]
+    table = _zeta_table(n)
+    cols = [table[step * j % n] for j in range(euler_phi(d))]
     # row-major phi(n) x phi(d)
     return tuple(tuple(col[i] for col in cols) for i in range(euler_phi(n)))
 
@@ -184,36 +214,86 @@ def _solve_exact(A, b):
     return x
 
 
+def _convolve(n, a, b):
+    """Integer coordinates of the product of two integer vectors of Q(zeta_n)."""
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                if y:
+                    conv[k] += x * y
+    for k, row in enumerate(_fold_rows(n), phi):
+        t = conv[k]
+        if t:
+            for j, z in row:
+                conv[j] += t * z
+    return tuple(conv[:phi])
+
+
+def _cyc(n, num, den):
+    """The Cyc with integer numerators `num` over `den` > 0, put in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(x // g for x in num)
+            den //= g
+    out = object.__new__(Cyc)
+    out.n, out.num, out.den = n, num, den
+    return out
+
+
 class Cyc:
-    """An exact cyclotomic number.
+    """An exact cyclotomic number: ``sum_j num[j] zeta_n^j / den``.
+
+    ``num`` is a tuple of ``phi(n)`` ints and ``den`` a positive int, always
+    in lowest terms: ``gcd(*num, den) == 1``, so zero is ``(0, ..., 0) / 1``.
+    Two values of one conductor are therefore equal exactly when their
+    ``num`` and ``den`` are, and ``c`` gives the rational coordinates.
 
     Arithmetic stays in the ambient conductor (conductors only grow, by lcm);
     ``canonical()`` rewrites over the smallest containing field.  Equality
     compares after lifting both sides to the least common conductor.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
-    def __init__(self, n, coeffs, _reduced=False):
+    def __init__(self, n, coeffs):
+        """Reduce rational coefficients of any length modulo Phi_n."""
         if n <= 0:
             raise ScalarError(f"conductor must be positive, got {n}")
-        self.n = n
-        if _reduced:
-            self.c = tuple(coeffs)
-        else:
-            self.c = _reduce(n, [Fraction(x) for x in coeffs])
+        qs = [Fraction(x) for x in coeffs]
+        den = lcm(*(q.denominator for q in qs))
+        table = _zeta_table(n)
+        num = [0] * euler_phi(n)
+        for k, q in enumerate(qs):
+            if q:
+                a = q.numerator * (den // q.denominator)
+                for j, z in enumerate(table[k % n]):
+                    if z:
+                        num[j] += a * z
+        x = _cyc(n, tuple(num), den)
+        self.n, self.num, self.den = n, x.num, x.den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(q) -> "Cyc":
-        return Cyc(1, (Fraction(q),), _reduced=True)
+        if type(q) is not int:
+            q = Fraction(q)
+            return _cyc(1, (q.numerator,), q.denominator)
+        return _cyc(1, (q,), 1)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "Cyc":
-        return Cyc(n, _zeta_power(n, k), _reduced=True)
+        return _cyc(n, _zeta_table(n)[k % n], 1)
 
     # -- structure ---------------------------------------------------------
+
+    @property
+    def c(self):
+        """The rational coordinates over the power basis, as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def lift(self, m: int) -> "Cyc":
         """Rewrite over Q(zeta_m); m must be a multiple of the conductor."""
@@ -221,56 +301,53 @@ class Cyc:
             return self
         if m % self.n:
             raise ScalarError(f"cannot lift conductor {self.n} into {m}")
-        step = m // self.n
         phi = euler_phi(m)
-        out = [Fraction(0)] * phi
-        for j, cj in enumerate(self.c):
-            if cj == 0:
-                continue
-            zj = _zeta_power(m, step * j)
-            for i in range(phi):
-                out[i] += cj * zj[i]
-        return Cyc(m, out, _reduced=True)
+        if self.n == 1:
+            return _cyc(m, self.num + (0,) * (phi - 1), self.den)
+        return _cyc(m, self._mapped(m, m // self.n), self.den)
+
+    def _mapped(self, m, k):
+        """Integer coordinates in Q(zeta_m) of num under zeta_n -> zeta_m^k."""
+        table = _zeta_table(m)
+        out = [0] * euler_phi(m)
+        for j, cj in enumerate(self.num):
+            if cj:
+                for i, z in enumerate(table[k * j % m]):
+                    if z:
+                        out[i] += cj * z
+        return tuple(out)
 
     def canonical(self) -> "Cyc":
         """The same value over the smallest cyclotomic field containing it."""
         if self.n == 1:
             return self
-        if all(x == 0 for x in self.c[1:]):
-            return Cyc(1, (self.c[0],), _reduced=True)
+        if self.is_rational:
+            return _cyc(1, self.num[:1], self.den)
         for d in _divisors(self.n)[:-1]:
             if d == 1:
                 continue
-            sol = _solve_exact(_subfield_matrix(self.n, d), self.c)
+            sol = _solve_exact(_subfield_matrix(self.n, d), self.num)
             if sol is not None:
-                return Cyc(d, sol, _reduced=True)
+                return Cyc(d, [x / self.den for x in sol])
         return self
 
     @property
     def is_rational(self) -> bool:
-        return all(x == 0 for x in self.c[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ScalarError(f"{self!r} is not rational")
-        return self.c[0]
+        return Fraction(self.num[0], self.den)
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(x == 0 for x in self.c)
+        return not any(self.num)
 
     def galois(self, k: int) -> "Cyc":
         """Apply zeta -> zeta^k; requires gcd(k, n) = 1."""
         if gcd(k, self.n) != 1:
             raise ScalarError(f"galois exponent {k} not coprime to {self.n}")
-        phi = euler_phi(self.n)
-        out = [Fraction(0)] * phi
-        for j, cj in enumerate(self.c):
-            if cj == 0:
-                continue
-            zj = _zeta_power(self.n, (j * k) % self.n)
-            for i in range(phi):
-                out[i] += cj * zj[i]
-        return Cyc(self.n, out, _reduced=True)
+        return _cyc(self.n, self._mapped(self.n, k), self.den)
 
     def conjugate(self) -> "Cyc":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -278,8 +355,8 @@ class Cyc:
     def embed(self) -> complex:
         """Image under zeta_n -> exp(2 pi i / n)."""
         return sum(
-            float(cj) * cmath.exp(2j * cmath.pi * j / self.n)
-            for j, cj in enumerate(self.c) if cj != 0
+            cj / self.den * cmath.exp(2j * cmath.pi * j / self.n)
+            for j, cj in enumerate(self.num) if cj
         ) or 0j
 
     def sort_key(self):
@@ -297,47 +374,64 @@ class Cyc:
             raise MixedBackendError("cannot mix exact and approximate scalars")
         else:
             return None, None
-        m = self.n * other.n // gcd(self.n, other.n)
+        if self.n == other.n:
+            return self, other
+        m = lcm(self.n, other.n)
         return self.lift(m), other.lift(m)
 
-    def __add__(self, other):
+    def _scaled(self, p: int, q: int) -> "Cyc":
+        """self * p / q for integers p and q > 0."""
+        if not p:
+            return _cyc(self.n, (0,) * len(self.num), 1)
+        if p == q == 1:
+            return self
+        return _cyc(self.n, tuple(x * p for x in self.num), self.den * q)
+
+    def _sum(self, other, sign):
+        """self + sign * other, with sign 1 or -1."""
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return Cyc(a.n, tuple(x + y for x, y in zip(a.c, b.c)), _reduced=True)
+        if not any(b.num):
+            return a
+        if not any(a.num):
+            return b if sign == 1 else -b
+        if a.den == b.den:
+            num = tuple(x + sign * y for x, y in zip(a.num, b.num))
+            return _cyc(a.n, num, a.den)
+        fa, fb = b.den, sign * a.den
+        num = tuple(x * fa + y * fb for x, y in zip(a.num, b.num))
+        return _cyc(a.n, num, a.den * b.den)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.n, tuple(-x for x in self.c), _reduced=True)
+        return _cyc(self.n, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return Cyc(a.n, tuple(x - y for x, y in zip(a.c, b.c)), _reduced=True)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyc(self.n, tuple(x * q for x in self.c), _reduced=True)
-        a, b = self._pair(other)
-        if a is None:
+        if not isinstance(other, Cyc):
+            if isinstance(other, int):
+                return self._scaled(other, 1)
+            if isinstance(other, Fraction):
+                return self._scaled(other.numerator, other.denominator)
+            if isinstance(other, Approx):
+                raise MixedBackendError("cannot mix exact and approximate scalars")
             return NotImplemented
+        a, b = self._pair(other)
         if b.is_rational:
-            q = b.c[0]
-            return Cyc(a.n, tuple(x * q for x in a.c), _reduced=True)
-        conv = [Fraction(0)] * (2 * len(a.c) - 1)
-        for i, x in enumerate(a.c):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.c):
-                if y != 0:
-                    conv[i + j] += x * y
-        return Cyc(a.n, _reduce(a.n, conv), _reduced=True)
+            return a._scaled(b.num[0], b.den)
+        if a.is_rational:
+            return b._scaled(a.num[0], a.den)
+        return _cyc(a.n, _convolve(a.n, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -345,26 +439,28 @@ class Cyc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         if self.is_rational:
-            return Cyc.rational(Fraction(1) / self.c[0])
-        # extended euclid in Q[x] against Phi_n; invariant r_i = s_i * a mod Phi_n
-        a = _ptrim(list(self.c))
-        b = list(cyclotomic_polynomial(self.n))
-        r0, r1 = a, b
-        s0, s1 = [Fraction(1)], []
-        while r1:
-            q, r = _pdivmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        # Phi_n is irreducible, so the gcd is a nonzero rational
-        g = r0[0]
-        return Cyc(self.n, [x / g for x in s0])
+            return Cyc.rational(Fraction(self.den, self.num[0]))
+        # y = num is nonzero and the norm N(y), the product of its Galois
+        # conjugates, is a nonzero integer; P = N(y) / y is the product of
+        # the conjugates other than y itself, so 1/self = den P / N(y).
+        n = self.n
+        p = None
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                g = self._mapped(n, k)
+                p = g if p is None else _convolve(n, p, g)
+        norm = _convolve(n, self.num, p)[0]
+        f = self.den if norm > 0 else -self.den
+        return _cyc(n, tuple(x * f for x in p), abs(norm))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if q == 0:
                 raise ZeroDivisionError("division by zero")
-            return Cyc(self.n, tuple(x / q for x in self.c), _reduced=True)
+            if q < 0:
+                return self._scaled(-q.denominator, -q.numerator)
+            return self._scaled(q.denominator, q.numerator)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
@@ -388,16 +484,13 @@ class Cyc:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Cyc.rational(other)
-        if isinstance(other, Approx):
-            raise MixedBackendError("cannot compare exact and approximate scalars")
         if not isinstance(other, Cyc):
-            return NotImplemented
-        if self.n == other.n:
-            return self.c == other.c
+            if isinstance(other, Approx):
+                raise MixedBackendError("cannot compare exact and approximate scalars")
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
         a, b = self._pair(other)
-        return a.c == b.c
+        return a.num == b.num and a.den == b.den
 
     def __hash__(self):
         s = self.canonical()
@@ -521,12 +614,15 @@ def scalars_equal(a, b, tol: float = 0.0) -> bool:
     raise MixedBackendError("cannot compare exact and approximate scalars")
 
 
+_CYC_ZERO, _CYC_ONE = Cyc.rational(0), Cyc.rational(1)
+
+
 def zero_like(x):
-    return Cyc.rational(0) if isinstance(x, Cyc) else Approx(0)
+    return _CYC_ZERO if isinstance(x, Cyc) else Approx(0)
 
 
 def one_like(x):
-    return Cyc.rational(1) if isinstance(x, Cyc) else Approx(1)
+    return _CYC_ONE if isinstance(x, Cyc) else Approx(1)
 
 
 def from_int_like(x, k):
@@ -540,11 +636,34 @@ def scalar_to_json(x):
     return {"re": x.z.real, "im": x.z.imag}
 
 
+def _json_is(x, kinds) -> bool:
+    """x is one of `kinds`; JSON true and false are not numbers here."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 def scalar_from_json(obj):
+    """Read a scalar written by `scalar_to_json`.
+
+    Every scalar read from a file passes through here, so any other shape
+    raises ScalarError: the object must be a dict, ``conductor`` an int,
+    ``coeffs`` a list of ints or strings, ``re`` and ``im`` numbers.
+    """
+    if not isinstance(obj, dict):
+        raise ScalarError(f"a scalar must be a JSON object, got {obj!r}")
     if "conductor" in obj:
-        return make_scalar(int(obj["conductor"]), [Fraction(c) for c in obj["coeffs"]])
+        n, coeffs = obj["conductor"], obj.get("coeffs")
+        if not _json_is(n, int):
+            raise ScalarError(f"conductor must be an integer, got {n!r}")
+        if not (isinstance(coeffs, list)
+                and all(_json_is(c, (int, str)) for c in coeffs)):
+            raise ScalarError(
+                f"coeffs must be a list of integers or strings, got {coeffs!r}")
+        return make_scalar(n, coeffs)
     if "re" in obj:
-        return Approx(complex(float(obj["re"]), float(obj.get("im", 0.0))))
+        re, im = obj["re"], obj.get("im", 0.0)
+        if not (_json_is(re, (int, float)) and _json_is(im, (int, float))):
+            raise ScalarError(f"re and im must be numbers, got {obj!r}")
+        return Approx(complex(float(re), float(im)))
     raise ScalarError(f"unrecognized scalar object {obj!r}")
 
 

@@ -42,6 +42,24 @@ def test_verify_detects_broken_data(tmp_path, capsys):
     assert "VIOLATIONS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("bad", [
+    None,
+    {"conductor": 1, "coeffs": [None]},
+    {"re": None},
+    {"conductor": 5, "coeffs": "12"},
+], ids=["null", "null-coeff", "null-re", "string-coeffs"])
+def test_malformed_scalar_is_input_error(tmp_path, capsys, bad):
+    obj = category_to_json(builtin("fibonacci").category)
+    entry = obj["F"][0]
+    assert entry["labels"] == ["tau", "tau", "tau", "1"]
+    entry["matrix"] = [[bad]]
+    path = tmp_path / "bad.json"
+    save_json(str(path), obj)
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

@@ -2,12 +2,16 @@
 checked property-style against the numeric embedding."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wqhopf.scalars import (Approx, Cyc, make_scalar, roots_of_unity,
-                            scalar_from_json, scalar_to_json, sqrt_in_field)
+from wqhopf.catalog import all_entries
+from wqhopf.scalars import (Approx, Cyc, _pmul, _reduce, _zeta_power,
+                            _zeta_table, euler_phi, make_scalar,
+                            roots_of_unity, scalar_from_json, scalar_to_json,
+                            sqrt_in_field)
 
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12, 16)
 
@@ -33,12 +37,61 @@ def test_ring_axioms(x, y, z):
     assert x * Cyc.rational(1) == x
 
 
+def _fraction_lift(x, m):
+    """x's coordinates in Q(zeta_m), by the Fraction route: zeta_n^j is
+    zeta_m^(j m/n), reduced by polynomial division."""
+    spread = [Fraction(0)] * m
+    for j, cj in enumerate(x.c):
+        spread[j * (m // x.n)] = cj
+    return _reduce(m, spread)
+
+
+def _normalized(x):
+    return (len(x.num) == euler_phi(x.n) and x.den > 0
+            and gcd(*x.num, x.den) == 1
+            and all(type(v) is int for v in x.num + (x.den,)))
+
+
+@given(cycs(), cycs())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_fraction_route(x, y):
+    m = lcm(x.n, y.n)
+    a, b = _fraction_lift(x, m), _fraction_lift(y, m)
+    prod, total, diff = x * y, x + y, x - y
+    assert prod.n == total.n == diff.n == m
+    assert prod.c == _reduce(m, _pmul(list(a), list(b)))
+    assert total.c == tuple(p + q for p, q in zip(a, b))
+    assert diff.c == tuple(p - q for p, q in zip(a, b))
+    assert x.lift(m).c == a
+    for r in (x, y, prod, total, diff, x.lift(m), -x, x * 3, x / -2,
+              x.canonical(), x.conjugate()):
+        assert _normalized(r)
+
+
+def test_zeta_table_is_integral_and_matches_division():
+    used = set(CONDUCTORS)
+    for entry in all_entries():
+        cat = entry.category
+        mats = list(cat.F.values()) + list((cat.R or {}).values())
+        used |= {x.n for M in mats for row in M for x in row}
+        used |= {x.n for x in cat.theta or ()}
+    for n in sorted(used):
+        table = _zeta_table(n)
+        assert len(table) == n
+        # products of reduced vectors reach degree 2 phi(n) - 2
+        for k in range(max(n, 2 * euler_phi(n) - 1)):
+            row = table[k % n]
+            assert all(type(v) is int for v in row)
+            assert row == _zeta_power(n, k)
+
+
 @given(cycs())
 @settings(max_examples=150, deadline=None)
 def test_inverse(x):
     if x.is_zero():
         return
     assert x * x.inverse() == Cyc.rational(1)
+    assert _normalized(x.inverse())
 
 
 @given(cycs(), cycs())
