@@ -16,8 +16,8 @@ Two backends:
 Mixing backends in one operation raises ``MixedBackendError``.  Canonical
 form (used for hashing and serialization) rewrites a value over the smallest
 cyclotomic field that contains it.  ``Fraction`` appears only at the edges:
-the constructor, the rational coordinates ``Cyc.c``, canonicalization and
-JSON.
+the constructor, the rational coordinates ``Cyc.c``, canonicalization,
+``sqrt_in_field`` and JSON.
 """
 
 from __future__ import annotations
