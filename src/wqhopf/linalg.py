@@ -7,7 +7,11 @@ exact for the cyclotomic backend and magnitude-based for the complex one.
 
 from __future__ import annotations
 
-from .scalars import Approx, from_int_like, one_like, zero_like
+from math import lcm
+from operator import mul
+
+from .scalars import (_CYC_ZERO, Approx, Cyc, _cyc, _fold_rows, euler_phi,
+                      from_int_like, one_like, zero_like)
 
 
 class LinalgError(ValueError):
@@ -54,13 +58,133 @@ def smul(s, A):
 
 
 def matmul(A, B):
+    """A @ B: the packed integer kernel for exact products with at least
+    PACKED_MIN scalar multiplications, the scalar loop otherwise."""
     ra, ca = dims(A)
     rb, cb = dims(B)
     if ca != rb:
         raise LinalgError(f"shape mismatch {ra}x{ca} @ {rb}x{cb}")
     if ra == 0 or cb == 0:
         return [[] for _ in range(ra)]
-    z = zero_like(A[0][0] if ca else B[0][0])
+    if ra * ca * cb >= PACKED_MIN and _all_exact(A) and _all_exact(B):
+        return _packed_matmul(A, B)
+    return _scalar_matmul(A, B)
+
+
+# Products with fewer scalar multiplications take the scalar loop, where the
+# packed set-up costs more than it saves.  Timed on random operands (CPython
+# 3.11.7, 2-vCPU Xeon): 1x1 takes 8-14 us in the scalar loop and 20-27 us
+# packed; 2x2 @ 2x2 breaks even (48 us each at conductor 1, 88 against 97 us
+# on sparse conductor-16 entries); from 3x3 @ 3x3 on the packed kernel wins
+# 1.3-4x.  Certifying the catalog runs about 1200 products, 1072 of them
+# 1x1 and all but three below this size.
+PACKED_MIN = 9
+
+
+def _all_exact(M):
+    return all(type(x) is Cyc for row in M for x in row)
+
+
+def _packed_matmul(A, B):
+    """A @ B over Q(zeta_m) by Kronecker substitution.
+
+    Both operands are lifted to m, the lcm of their entries' conductors, and
+    written over one integer denominator each (da for A, db for B), so entry
+    (i, k) of A is a polynomial a_ik(x) = sum_j alpha_ikj x^j of degree below
+    phi = phi(m) with integer alpha_ikj, |alpha_ikj| <= maxA, and likewise
+    b_kl(x) with |beta_klj| <= maxB.  Each entry is packed into the one
+    Python int a_ik(2^s), so a dot product is a single C-level sum of int
+    products: sum_k a_ik(2^s) b_kl(2^s) = g(2^s), where evaluation at 2^s
+    is a ring map Z[x] -> Z and g = sum_k a_ik b_kl.
+
+    Every slot stays below 2^(s-1).  The coefficient g_t of x^t, t <= 2 phi
+    - 2, is sum_k sum_(j+j'=t) alpha_ikj beta_klj': for each of the ca
+    values of k there are at most phi pairs (j, j'), so |g_t| <= ca phi maxA
+    maxB < 2^L with L = bit_length(ca phi maxA maxB) = s - 2, and |g_t| <
+    2^(s-2) < 2^(s-1).  An integer polynomial whose coefficients lie in
+    (-2^(s-1), 2^(s-1)) is recovered from its value at 2^s as balanced
+    digits: adding the bias sum_t 2^(s-1) 2^(s t) turns digit t into g_t +
+    2^(s-1), which lies in [0, 2^s), so it is read off by shift and mask.
+
+    The 2 phi - 1 digits are folded by the integer rows of zeta_m^k, phi <=
+    k <= 2 phi - 2, and the entry is built in lowest terms over da db; a
+    rational entry goes to conductor 1.
+    """
+    ua = {id(x): x for row in A for x in row}
+    ub = {id(x): x for row in B for x in row}
+    m = lcm(*{x.n for x in ua.values()}, *{x.n for x in ub.values()})
+    phi = euler_phi(m)
+    ca = len(B)
+    ia, da, maxa = _integer_coords(ua, m)
+    ib, db, maxb = _integer_coords(ub, m)
+    s = (ca * phi * maxa * maxb).bit_length() + 2
+    ia = {k: _pack(c, s) * f for k, (c, f) in ia.items()}
+    ib = {k: _pack(c, s) * f for k, (c, f) in ib.items()}
+    pa = [[ia[id(x)] for x in row] for row in A]
+    pb = [[ib[id(x)] for x in col] for col in zip(*B)]
+    den = da * db
+    nslot = 2 * phi - 1
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    bias = sum(half << (s * t) for t in range(nslot))
+    shifts = [s * t for t in range(nslot)]
+    folds = list(enumerate(_fold_rows(m), phi))
+    out = []
+    for row in pa:
+        orow = []
+        for col in pb:
+            v = sum(map(mul, row, col))
+            if not v:
+                orow.append(_CYC_ZERO)
+                continue
+            if phi == 1:
+                orow.append(_cyc(1, (v,), den))
+                continue
+            v += bias
+            g = [((v >> sh) & mask) - half for sh in shifts]
+            for k, fold in folds:
+                t = g[k]
+                if t:
+                    for j, z in fold:
+                        g[j] += t * z
+            if any(g[1:phi]):
+                orow.append(_cyc(m, tuple(g[:phi]), den))
+            else:
+                orow.append(_cyc(1, (g[0],), den))
+        out.append(orow)
+    return out
+
+
+def _integer_coords(entries, m):
+    """The entries, a dict from id to scalar, in Q(zeta_m) over their least
+    common denominator: (dict from id to (integer coordinates, factor from
+    the entry's own denominator to the common one), common denominator,
+    largest |coordinate| over it).  Matrices share entry objects (zeros,
+    copied blocks), so each object is converted once."""
+    den = lcm(*{x.den for x in entries.values()})
+    pad = (0,) * (euler_phi(m) - 1)
+    out, top = {}, 0
+    for k, x in entries.items():
+        num = x.num
+        if x.n != m:
+            num = num + pad if x.n == 1 else x._mapped(m, m // x.n)
+        f = den // x.den
+        top = max(top, max(max(num), -min(num)) * f)
+        out[k] = num, f
+    return out, den, top
+
+
+def _pack(coords, s):
+    """The polynomial with these coefficients evaluated at 2^s."""
+    v = 0
+    for c in reversed(coords):
+        v = (v << s) + c
+    return v
+
+
+def _scalar_matmul(A, B):
+    """A @ B one scalar product at a time: the Approx path, and the
+    reference the packed kernel is tested against."""
+    z = zero_like(A[0][0])
     Bt = transpose(B)
     out = []
     for row in A:
@@ -99,6 +223,33 @@ def kron(A, B):
                     row.extend(a * B[k][l] for l in range(cb))
             out.append(row)
     return out
+
+
+def leg_matmul(L, M, pre, post):
+    """(1_pre (x) L (x) 1_post) @ M without forming the Kronecker product.
+
+    With L of shape r x c, row (p * c + k) * post + q of M lies on leg
+    index k.  Each pre-block of M, reshaped to c rows of post * width
+    entries, is laid beside the others, so one product with L does them
+    all; row (p * r + i) * post + q of the result is read back out of it.
+    """
+    r, c = dims(L)
+    if len(M) != pre * c * post:
+        raise LinalgError(f"{len(M)} rows do not split as {pre} x {c} x {post}")
+    width = len(M[0])
+    wide = [[x for p in range(pre) for q in range(post)
+             for x in M[(p * c + k) * post + q]] for k in range(c)]
+    prod = matmul(L, wide)
+    return [prod[i][(p * post + q) * width:(p * post + q + 1) * width]
+            for p in range(pre) for i in range(r) for q in range(post)]
+
+
+def leg_conjugate(L, M, R, pre, post):
+    """(1_pre (x) L (x) 1_post) @ M @ (1_pre (x) R (x) 1_post); the right
+    factor acts through transposes, (X (1 (x) R (x) 1))^T = (1 (x) R^T (x) 1)
+    X^T."""
+    X = leg_matmul(L, M, pre, post)
+    return transpose(leg_matmul(transpose(R), transpose(X), pre, post))
 
 
 def flip_matrix(p, q, like):
@@ -256,5 +407,16 @@ def mat_to_json(M):
 
 
 def mat_from_json(rows):
+    """Read a matrix written by mat_to_json.  Anything but a non-empty list
+    of non-empty lists of one length raises LinalgError: later code reads
+    M[0][0] and zips rows, which would fail or truncate silently."""
     from .scalars import scalar_from_json
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(row, list) for row in rows)
+            and rows[0] and all(len(row) == len(rows[0]) for row in rows)):
+        shown = repr(rows)
+        if len(shown) > 80:
+            shown = shown[:77] + "..."
+        raise LinalgError("a matrix must be a non-empty list of non-empty "
+                          f"rows of one length, got {shown}")
     return [[scalar_from_json(x) for x in row] for row in rows]

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .hopf import (WQHopf, coproduct, delta_slot, family_deviation,
-                   family_mul, matrix_units, pair_flip)
+from .hopf import (WQHopf, basis_coproducts, delta_slot, family_deviation,
+                   family_mul, pair_flip)
 from .linalg import LinalgError, deviation, eye, inverse, matmul, matmul_chain
 from .report import Report, prefixed
 
@@ -88,10 +88,10 @@ def verify_twist(H1: WQHopf, H2: WQHopf, T: TwistElement,
                family_deviation(family_mul(T.T_inv, T.T), dunit, tol))
 
     parts = []
-    for a, i, j, h in matrix_units(H1):
-        lhs = coproduct(H2, h)
-        rhs = family_mul(family_mul(T.T, coproduct(H1, h)), T.T_inv)
-        parts.append(prefixed((a, i, j), family_deviation(lhs, rhs, tol)))
+    d2 = basis_coproducts(H2)
+    for key, dh in basis_coproducts(H1).items():
+        rhs = family_mul(family_mul(T.T, dh), T.T_inv)
+        parts.append(prefixed(key, family_deviation(d2[key], rhs, tol)))
     rep.record("twist-coproduct", *parts)
 
     if H1.R is not None:

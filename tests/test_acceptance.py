@@ -1,4 +1,4 @@
-"""Acceptance gate: eight headline properties, each timed and announced.
+"""Acceptance gate: nine headline properties, each timed and announced.
 
 Every test prints a single summary line even under capture, so a full run
 shows at a glance which gates hold. All algebraic gates run on the exact
@@ -270,3 +270,26 @@ def test_gate_8_cli_round_trip(capsys, tmp_path):
           f"dump and re-check reports identical ({len(first)} checks); "
           f"crafted failures exit {tuple(codes)}")
     assert not problems, problems
+
+
+def test_gate_9_fibonacci_canonical(capsys):
+    t0 = time.perf_counter()
+    cat = builtin("fibonacci").category
+    D = canonical_weak_dimension(cat.ring)
+    H = reconstruct(build_functor(cat, D))
+    rep = verify_weak_axioms(H)
+    rep.extend(verify_structure_transport(H))
+    dt = time.perf_counter() - t0
+    problems = []
+    if (D.values, H.dim) != ((1, 3), 10):
+        problems.append(("D, dim", D.values, H.dim))
+    if len(rep.checks) != 24 or not rep.passed:
+        problems.append(("checks", len(rep.checks),
+                         [c.id for c in rep.failures()]))
+    ok = not problems and dt < 10.0
+    _gate(capsys, "gate 9 fibonacci canonical", ok,
+          f"D=(1,3), dim 10, {sum(c.passed for c in rep.checks)}/"
+          f"{len(rep.checks)} weak-axiom and transport checks at tolerance "
+          f"0, {dt:.1f}s (< 10s)")
+    assert not problems, problems
+    assert dt < 10.0

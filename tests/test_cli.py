@@ -60,6 +60,40 @@ def test_malformed_scalar_is_input_error(tmp_path, capsys, bad):
     assert "error:" in err and "Traceback" not in err
 
 
+def _f_matrix_file(matrix):
+    def argv(tmp_path):
+        obj = category_to_json(builtin("fibonacci").category)
+        obj["F"][0]["matrix"] = matrix
+        path = tmp_path / "bad.json"
+        save_json(str(path), obj)
+        return ["verify", str(path)]
+    return argv
+
+
+def _ragged_phi_dump(tmp_path):
+    path = tmp_path / "h.json"
+    assert main(["reconstruct", "--builtin", "vec_zn", "--n", "2", "--q", "1",
+                 "-o", str(path)]) == 0
+    obj = load_json(str(path))
+    entry = next(e for e in obj["phi"] if e["key"] == ["1", "1", "1"])
+    entry["matrix"][1].pop()
+    save_json(str(path), obj)
+    return ["check-hopf", str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    _f_matrix_file(5), _f_matrix_file([5]), _f_matrix_file([]),
+    _ragged_phi_dump,
+], ids=["scalar", "flat-list", "empty", "ragged-phi-row"])
+def test_malformed_matrix_is_input_error(tmp_path, capsys, argv):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "rows of one length" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

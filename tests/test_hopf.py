@@ -6,20 +6,22 @@ elementary morphisms; the two computations share no assembly code.
 
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from wqhopf.catalog import builtin
-from wqhopf.category import elementary_morphisms, leaf, pair
-from wqhopf.functor import build_functor, functor_on_morphism
+from wqhopf.category import elementary_morphisms, leaf, pair, trees
+from wqhopf.functor import _offsets, build_functor, functor_on_morphism
 from wqhopf.fusion import DimensionFunction, minimize_dimension_function
-from wqhopf.hopf import (HopfError, WQHopf, antipode, coproduct, counit,
-                         delta_slot, element_mul, element_pair, eps_slot,
-                         family_deviation, family_mul, matrix_units, pair_flip,
-                         reconstruct, unit_element,
+from wqhopf.hopf import (HopfError, WQHopf, antipode, basis_coproducts,
+                         coproduct, counit, delta_slot, element_mul,
+                         element_pair, eps_slot, family_deviation, family_mul,
+                         matrix_units, pair_flip, reconstruct, unit_element,
                          verify_structure_transport, verify_weak_axioms)
-from wqhopf.linalg import (eye, is_identity, madd, matmul, matmul_chain,
-                           max_deviation, msub, rank, transpose, zeros)
+from wqhopf.linalg import (eye, flip_matrix, is_identity, kron, madd, matmul,
+                           matmul_chain, max_deviation, msub, rank, transpose,
+                           zeros)
 from wqhopf.scalars import Cyc
 from wqhopf.twist import TwistElement, twist_between, verify_twist
 
@@ -160,12 +162,36 @@ def _raised(fam, key):
     return {**fam, key: M}
 
 
+def _all_checks(H):
+    return verify_weak_axioms(H).extend(verify_structure_transport(H))
+
+
 def _tiny_phi(H):
     return verify_weak_axioms(replace(H, phi=_raised(H.phi, (1, 1, 1))))
 
 
+def _tiny_phi_inv(H):
+    return verify_structure_transport(
+        replace(H, phi_inv=_raised(H.phi_inv, (1, 1, 1))))
+
+
 def _tiny_alpha(H):
-    return verify_structure_transport(replace(H, alpha=_raised(H.alpha, 1)))
+    return _all_checks(replace(H, alpha=_raised(H.alpha, 1)))
+
+
+def _tiny_beta(H):
+    return verify_weak_axioms(replace(H, beta=_raised(H.beta, 1)))
+
+
+def _tiny_braiding(H):
+    return verify_weak_axioms(replace(H, R=_raised(H.R, (1, 1))))
+
+
+def _tiny_unit_section(H):
+    # c_inv at the pair (1, tau): every coproduct moves, the stored
+    # delta_unit does not
+    F = replace(H.functor, c_inv=_raised(H.functor.c_inv, (0, 1)))
+    return _all_checks(replace(H, functor=F))
 
 
 def _tiny_twist(H):
@@ -178,10 +204,15 @@ def _tiny_ribbon(H):
 
 
 @pytest.mark.parametrize("check, must_fail", [
-    (_tiny_phi, {"ff1", "ff2", "quasi-coassociativity"}),
-    (_tiny_alpha, {"transport-alpha-pairing"}),
-    (_tiny_twist, {"twist-quasi-inverse"}),
+    (_tiny_phi, {"ff1", "ff2", "quasi-coassociativity", "phi-pentagon"}),
+    (_tiny_alpha, {"antipode-alpha", "transport-alpha-pairing"}),
+    (_tiny_twist, {"twist-quasi-inverse", "twist-coproduct"}),
     (_tiny_ribbon, {"ribbon-counit"}),
+    (_tiny_phi_inv, {"transport-rigidity"}),
+    (_tiny_beta, {"antipode-beta"}),
+    (_tiny_braiding, {"ff3", "ff4", "r-intertwine"}),
+    (_tiny_unit_section, {"coproduct-multiplicative", "counit-laws",
+                          "transport-intertwiner"}),
 ])
 def test_sub_float_perturbation_fails(z2_weak, check, must_fail):
     rep = check(z2_weak)
@@ -198,6 +229,107 @@ def test_eps_slot_recovers_counit_legs(flagship):
     for b, (_, db) in enumerate(flagship.blocks):
         assert is_identity(left[(b,)])
         assert is_identity(right[(b,)])
+
+
+def _dense_delta_slot(H, fam, i):
+    """delta_slot by dense Kronecker conjugation in the middle slots, the
+    route delta_slot took before it applied c on the tensor leg alone."""
+    F = H.functor
+    ring, one = F.cat.ring, F.cat.one
+    D = F.D.values
+    n = len(next(iter(fam)))
+    rk = ring.rank
+    out = {}
+    if i in (0, n + 1):
+        for key, M in fam.items():
+            for b in range(rk):
+                if i == 0:
+                    out[(b,) + key] = kron(eye(D[b], one), M)
+                else:
+                    out[key + (b,)] = kron(M, eye(D[b], one))
+        return out
+    for key2 in product(range(rk), repeat=n + 1):
+        x, y = key2[i - 1], key2[i]
+        pre = post = 1
+        for k in key2[:i - 1]:
+            pre *= D[k]
+        for k in key2[i + 1:]:
+            post *= D[k]
+        w = pair(leaf(x), leaf(y))
+        T = _offsets(F, w)[1]
+        M = zeros(pre * T * post, pre * T * post, one)
+        ro = 0
+        for z in range(rk):
+            for _ in trees(ring, z, w):
+                inner = fam[key2[:i - 1] + (z,) + key2[i + 1:]]
+                for p, k, q, p2, k2, q2 in product(
+                        range(pre), range(D[z]), range(post),
+                        range(pre), range(D[z]), range(post)):
+                    M[(p * T + ro + k) * post + q][
+                        (p2 * T + ro + k2) * post + q2] = inner[
+                        (p * D[z] + k) * post + q][(p2 * D[z] + k2) * post + q2]
+                ro += D[z]
+        cj = kron(kron(eye(pre, one), F.c[(x, y)]), eye(post, one))
+        cji = kron(kron(eye(pre, one), F.c_inv[(x, y)]), eye(post, one))
+        out[key2] = matmul_chain(cji, M, cj)
+    return out
+
+
+@pytest.fixture(scope="module")
+def ising_seed7(ising_cat):
+    D = minimize_dimension_function(ising_cat.ring, 4)
+    return reconstruct(build_functor(ising_cat, D, strategy="random", seed=7))
+
+
+ORACLE_ALGEBRAS = ("flagship", "flagship_seed7", "ising_hopf", "ising_seed7")
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS)
+def test_delta_slot_matches_dense_conjugation(request, name):
+    H = request.getfixturevalue(name)
+    for fam in (H.phi, H.delta_unit):
+        n = len(next(iter(fam)))
+        for i in range(n + 2):
+            got = delta_slot(H, fam, i)
+            want = _dense_delta_slot(H, fam, i)
+            assert got.keys() == want.keys()
+            assert family_deviation(got, want) == ([], 0.0)
+
+
+@pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ("z2_weak",))
+def test_basis_coproducts_match_coproduct(request, name):
+    H = request.getfixturevalue(name)
+    found = basis_coproducts(H)
+    assert list(found) == [(a, i, j) for a, i, j, _ in matrix_units(H)]
+    for a, i, j, h in matrix_units(H):
+        want = coproduct(H, h)
+        assert found[(a, i, j)].keys() == want.keys()
+        assert family_deviation(found[(a, i, j)], want) == ([], 0.0)
+
+
+def test_product_rule_matches_coproduct_of_product(flagship):
+    # the left side coproduct-multiplicative reads from the basis dict
+    found = basis_coproducts(flagship)
+    units = matrix_units(flagship)
+    for a, i, j, h in units:
+        for b, k, l, g in units:
+            want = coproduct(flagship, element_mul(h, g))
+            if (a, j) == (b, k):
+                assert family_deviation(found[(a, i, l)], want) == ([], 0.0)
+            else:
+                assert all(x.is_zero() for M in want.values()
+                           for row in M for x in row)
+
+
+@pytest.mark.parametrize("name", ("flagship", "ising_seed7"))
+def test_pair_flip_matches_swap_conjugation(request, name):
+    H = request.getfixturevalue(name)
+    D, one = H.functor.D.values, H.functor.cat.one
+    for fam in (H.R, H.delta_unit, basis_coproducts(H)[(1, 0, 1)]):
+        want = {(a, b): matmul_chain(flip_matrix(D[b], D[a], one),
+                                     fam[(b, a)], flip_matrix(D[a], D[b], one))
+                for a, b in fam}
+        assert family_deviation(pair_flip(H, fam), want) == ([], 0.0)
 
 
 def test_delta_slot_rejects_bad_index(flagship):
