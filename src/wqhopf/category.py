@@ -352,11 +352,6 @@ def admissible_ftuples(ring: FusionRing):
     return out
 
 
-def admissible_rtriples(ring: FusionRing):
-    return [(a, b, c) for a, b, c in product(range(ring.rank), repeat=3)
-            if ring.N[a][b][c]]
-
-
 # ---------------------------------------------------------------------------
 # structural morphisms
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class RunConfig:
         if (self.tolerance == 0.0) != (self.backend == "exact"):
             raise UsageError("tolerance must be 0 exactly when the backend "
                              "is exact; pass --tol with --backend approx")
-        if self.tolerance < 0:
-            raise UsageError("tolerance must be nonnegative")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise UsageError("tolerance must be finite and nonnegative")
 
 
 def _build_parser() -> argparse.ArgumentParser:

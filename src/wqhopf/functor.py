@@ -19,8 +19,8 @@ from .category import (UNIT, Morphism, Category, compose, dual_morphism,
                        pair, scale_morphism, tensor_morphisms, tree_index,
                        trees)
 from .fusion import DimensionFunction, is_weak_dimension_function
-from .linalg import (LinalgError, deviation, eye, inverse, kron, matmul, rank,
-                     smul, transpose, zeros)
+from .linalg import (LinalgError, deviation, eye, inverse, kron, leg_rmatmul,
+                     matmul, rank, reshape_vector, smul, transpose, zeros)
 from .report import Report, witness
 
 
@@ -67,7 +67,7 @@ def _offsets(F: FunctorData, w):
 
 
 def functor_on_morphism(F: FunctorData, f: Morphism):
-    ring, one = F.cat.ring, F.cat.one
+    one = F.cat.one
     roff, rows = _offsets(F, f.cod)
     coff, cols = _offsets(F, f.dom)
     out = zeros(rows, cols, one)
@@ -129,8 +129,7 @@ def build_functor(cat: Category, D: DimensionFunction,
             if b == ring.dual[a] and D[a] > 1:
                 rep = random.Random(f"kernel:{D.values}:{a}")
                 for attempt in range(17):
-                    M0 = [[base[0][i * D[a] + j] for j in range(D[a])]
-                          for i in range(D[b])]
+                    M0 = reshape_vector(base[0], D[b], D[a])
                     try:
                         inverse(M0)
                         break
@@ -158,8 +157,7 @@ def build_functor(cat: Category, D: DimensionFunction,
         lam = ev(cat, a).blocks[0][0][0]
         for attempt in range(17):
             # the unit sector is the first coordinate row of c(dual a, a)
-            M0 = [[c[(ab, a)][0][i * D[a] + j] for j in range(D[a])]
-                  for i in range(D[ab])]
+            M0 = reshape_vector(c[(ab, a)][0], D[ab], D[a])
             try:
                 d[a] = smul(lam.inverse(), transpose(inverse(M0)))
                 break
@@ -330,8 +328,7 @@ def verify_duality(F: FunctorData, tol: float = 0.0) -> Report:
         Da = F.D[a]
         fe = functor_on_morphism(F, ev(cat, a))
         cw, _ = tensorator(F, leaf(ab), leaf(a))
-        dI = kron(F.d[a], eye(Da, one))
-        lhs = matmul(matmul(fe, cw), dI)
+        lhs = leg_rmatmul(matmul(fe, cw), F.d[a], 1, Da)
         svec = [[one.rational(1) if i == j else one.rational(0)
                  for i in range(Da) for j in range(Da)]]
         parts.append(witness((a,), deviation(lhs, svec, tol)))

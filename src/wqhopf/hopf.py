@@ -2,13 +2,16 @@
 
 A natural endotransformation of the functor is a family of matrices, one
 D(a) x D(a) block per simple label, so the algebra is H = (+)_a End(K^{D(a)}).
-Everything else is transported through the tensorator: the coproduct
-conjugates the action on a pair word by (c, c_inv), the associator family
-phi and the braiding family R push the categorical structure morphisms into
-H tensor powers, the antipode conjugates transposed blocks by the duality
-matrices, and alpha / beta are the snake composites mixing the algebra-side
-evaluation with the vector-space one.  All identities are verified on the
-matrix unit basis, which suffices because they are multilinear.
+Everything else is transported through the tensorator: the coproduct is
+delta_slot at degree 1, which conjugates the action on a pair word by
+(c_inv, c), the associator family phi and the braiding family R push the
+categorical structure morphisms into H tensor powers, the antipode conjugates
+transposed blocks by the duality matrices, and alpha / beta are the snake
+composites mixing the algebra-side evaluation with the vector-space one.  All
+identities are verified on the matrix unit basis, which suffices because they
+are multilinear.  Tensor legs are shuffled by linalg.permute_legs and acted
+on by linalg.leg_matmul / leg_rmatmul, never through a Kronecker product with
+an identity.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from math import prod
 from .category import (associator, associator_inv, braiding, braiding_inv,
                        coev, ev, leaf, pair, trees)
 from .functor import (FunctorData, _offsets, functor_on_morphism, tensorator)
-from .linalg import (LinalgError, deviation, eye, flip_matrix, inverse, kron,
-                     leg_conjugate, matmul, matmul_chain, smul, transpose,
-                     zeros)
+from .linalg import (LinalgError, deviation, eye, inverse, kron, leg_conjugate,
+                     leg_matmul, leg_rmatmul, matmul, matmul_chain,
+                     permute_legs, reshape_vector, smul, transpose, zeros)
 from .report import Report, prefixed, witness
 
 
@@ -74,22 +77,6 @@ def matrix_units(H: WQHopf):
     return out
 
 
-def _on_word(F: FunctorData, h: dict, w):
-    """The block action of a natural transformation on F(w)."""
-    ring, one = F.cat.ring, F.cat.one
-    off, total = _offsets(F, w)
-    out = zeros(total, total, one)
-    for z in range(ring.rank):
-        m = len(trees(ring, z, w))
-        if not m:
-            continue
-        B = kron(eye(m, one), h[z])
-        o = off[z]
-        for i, row in enumerate(B):
-            out[o + i][o:o + len(row)] = row
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structure tensors
 # ---------------------------------------------------------------------------
@@ -109,10 +96,10 @@ def reconstruct(F: FunctorData) -> WQHopf:
         A, B, C = leaf(a), leaf(b), leaf(c)
         cR, cRi = tensorator(F, A, pair(B, C))
         cL, cLi = tensorator(F, pair(A, B), C)
-        uR = matmul(cR, kron(eye(D[a], one), F.c[(b, c)]))
-        uRp = matmul(kron(eye(D[a], one), F.c_inv[(b, c)]), cRi)
-        uL = matmul(cL, kron(F.c[(a, b)], eye(D[c], one)))
-        uLp = matmul(kron(F.c_inv[(a, b)], eye(D[c], one)), cLi)
+        uR = leg_rmatmul(cR, F.c[(b, c)], D[a], 1)
+        uRp = leg_matmul(F.c_inv[(b, c)], cRi, D[a], 1)
+        uL = leg_rmatmul(cL, F.c[(a, b)], 1, D[c])
+        uLp = leg_matmul(F.c_inv[(a, b)], cLi, 1, D[c])
         phi[(a, b, c)] = matmul_chain(
             uLp, functor_on_morphism(F, associator(cat, A, B, C)), uR)
         phi_inv[(a, b, c)] = matmul_chain(
@@ -125,20 +112,21 @@ def reconstruct(F: FunctorData) -> WQHopf:
             for b in range(rk):
                 Ps = functor_on_morphism(F, braiding(cat, leaf(a), leaf(b)))
                 Pi = functor_on_morphism(F, braiding_inv(cat, leaf(a), leaf(b)))
-                Rfam[(a, b)] = matmul_chain(
-                    flip_matrix(D[b], D[a], one), F.c_inv[(b, a)], Ps,
-                    F.c[(a, b)])
-                Rinv[(a, b)] = matmul_chain(
-                    F.c_inv[(a, b)], Pi, F.c[(b, a)],
-                    flip_matrix(D[a], D[b], one))
+                # the swap K^b (x) K^a -> K^a (x) K^b on the row legs of R
+                # and on the column legs of R_inv
+                n = D[a] * D[b]
+                Rfam[(a, b)] = permute_legs(
+                    matmul_chain(F.c_inv[(b, a)], Ps, F.c[(a, b)]),
+                    (D[b], D[a], n), (1, 0, 2), 2)
+                Rinv[(a, b)] = permute_legs(
+                    matmul_chain(F.c_inv[(a, b)], Pi, F.c[(b, a)]),
+                    (n, D[b], D[a]), (0, 2, 1), 1)
 
     alpha, beta = {}, {}
     for a in range(rk):
         evrow, colv = _rigidity_maps(F, a)
-        alpha[a] = [[evrow[0][i * D[a] + j] for j in range(D[a])]
-                    for i in range(D[a])]
-        beta[a] = [[colv[i * D[a] + j][0] for j in range(D[a])]
-                   for i in range(D[a])]
+        alpha[a] = reshape_vector(evrow[0], D[a], D[a])
+        beta[a] = reshape_vector(transpose(colv)[0], D[a], D[a])
 
     ribbon_v = None
     if cat.theta is not None:
@@ -152,30 +140,24 @@ def _rigidity_maps(F: FunctorData, a: int):
     """The evaluation row F(dual a) (x) F(a) -> K and the coevaluation
     column K -> F(a) (x) F(dual a) on the block spaces, with the dual leg
     identified with K^{D(a)} through the duality matrix d(a)."""
-    cat, one = F.cat, F.cat.one
+    cat = F.cat
     ab = cat.ring.dual[a]
     da = F.D[a]
-    evrow = matmul_chain(
-        functor_on_morphism(F, ev(cat, a)),
-        tensorator(F, leaf(ab), leaf(a))[0],
-        kron(F.d[a], eye(da, one)))
-    colv = matmul_chain(
-        kron(eye(da, one), inverse(F.d[a])),
-        tensorator(F, leaf(a), leaf(ab))[1],
-        functor_on_morphism(F, coev(cat, a)))
+    evrow = leg_rmatmul(
+        matmul(functor_on_morphism(F, ev(cat, a)),
+               tensorator(F, leaf(ab), leaf(a))[0]),
+        F.d[a], 1, da)
+    colv = leg_matmul(
+        inverse(F.d[a]),
+        matmul(tensorator(F, leaf(a), leaf(ab))[1],
+               functor_on_morphism(F, coev(cat, a))),
+        da, 1)
     return evrow, colv
 
 
 def coproduct(H: WQHopf, h: dict) -> dict:
-    """Delta(h) per pair: conjugate the pair-word action by the tensorator."""
-    F = H.functor
-    rk = F.cat.ring.rank
-    out = {}
-    for a in range(rk):
-        for b in range(rk):
-            hw = _on_word(F, h, pair(leaf(a), leaf(b)))
-            out[(a, b)] = matmul_chain(F.c_inv[(a, b)], hw, F.c[(a, b)])
-    return out
+    """Delta(h) per pair: h as a degree-1 family, through delta_slot."""
+    return delta_slot(H, {(a,): M for a, M in h.items()}, 1)
 
 
 def basis_coproducts(H: WQHopf) -> dict:
@@ -255,18 +237,16 @@ def pair_flip(H: WQHopf, fam: dict) -> dict:
     has entry ((i, j), (k, l)) = fam[(b, a)] entry ((j, i), (l, k)).
     """
     D = H.functor.D.values
-    out = {}
-    for a, b in fam:
-        M, da, db = fam[(b, a)], D[a], D[b]
-        out[(a, b)] = [[M[j * da + i][l * da + k]
-                        for k in range(da) for l in range(db)]
-                       for i in range(da) for j in range(db)]
-    return out
+    return {(a, b): permute_legs(fam[(b, a)], (D[b], D[a]) * 2,
+                                 (1, 0, 3, 2), 2)
+            for a, b in fam}
 
 
 def delta_slot(H: WQHopf, fam: dict, i: int) -> dict:
     """Degree n to n+1: slot 0 is 1 (x) fam, slot n+1 is fam (x) 1, and a
-    middle slot applies the coproduct to the i-th tensor leg."""
+    middle slot splits the i-th tensor leg: fam acts on the pair word of
+    the new legs i, i+1 sector by sector, conjugated there by (c_inv, c).
+    At degree 1 this is the coproduct."""
     F = H.functor
     ring, one = F.cat.ring, F.cat.one
     D = F.D.values
@@ -325,28 +305,6 @@ def eps_slot(H: WQHopf, fam: dict, i: int) -> dict:
 # axiom verification
 # ---------------------------------------------------------------------------
 
-def _pt1(W, p, q, one):
-    """Partial transpose on the first leg of a matrix acting on K^p (x) K^q."""
-    out = zeros(p * q, p * q, one)
-    for k in range(p):
-        for l in range(p):
-            for n in range(q):
-                for j in range(q):
-                    out[l * q + n][k * q + j] = W[k * q + n][l * q + j]
-    return out
-
-
-def _pt2(W, p, q, one):
-    """Partial transpose on the second leg."""
-    out = zeros(p * q, p * q, one)
-    for k in range(p):
-        for l in range(p):
-            for n in range(q):
-                for j in range(q):
-                    out[k * q + j][l * q + n] = W[k * q + n][l * q + j]
-    return out
-
-
 def _sweedler_pair(H: WQHopf, dh: dict, x: int, left: bool):
     """Contract the legs of dh = Delta(h) around the snake element at block
     x: sum S(h1) alpha h2 when left, sum h1 beta S(h2) otherwise.
@@ -355,27 +313,24 @@ def _sweedler_pair(H: WQHopf, dh: dict, x: int, left: bool):
     duality matrix, so the sum over Sweedler terms never has to be split.
     """
     F = H.functor
-    one = F.cat.one
     ring = F.cat.ring
     ab = ring.dual[x]
     da, db = F.D[x], F.D[ab]
     dt = transpose(F.d[x])
     dti = inverse(dt)
     if left:
-        V = leg_conjugate(dt, _pt1(dh[(ab, x)], db, da, one), dti, 1, da)
+        pt = permute_legs(dh[(ab, x)], (db, da) * 2, (2, 1, 0, 3), 2)
+        V = leg_conjugate(dt, pt, dti, 1, da)
         mid = H.alpha[x]
     else:
-        V = leg_conjugate(dt, _pt2(dh[(x, ab)], da, db, one), dti, da, 1)
+        pt = permute_legs(dh[(x, ab)], (da, db) * 2, (0, 3, 2, 1), 2)
+        V = leg_conjugate(dt, pt, dti, da, 1)
         mid = H.beta[x]
-    out = zeros(da, da, one)
-    for i in range(da):
-        for j in range(da):
-            acc = one.rational(0)
-            for m in range(da):
-                for n in range(da):
-                    acc = acc + V[i * da + n][m * da + j] * mid[m][n]
-            out[i][j] = acc
-    return out
+    # out[i][j] = sum_(m, n) V[(i, n)][(m, j)] mid[m][n]: regroup the legs
+    # of V as rows (i, j) and columns (m, n), then contract with mid
+    W = permute_legs(V, (da,) * 4, (0, 3, 2, 1), 2)
+    col = matmul(W, [[y] for row in mid for y in row])
+    return reshape_vector([y for y, in col], da, da)
 
 
 def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
@@ -495,7 +450,6 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
         rep.add("ribbon-antipode", not differs, worst)
 
         if H.R is not None:
-            r21 = pair_flip(H, H.R)
             r21_inv = pair_flip(H, H.R_inv)
             q_inv = family_mul(H.R_inv, r21_inv)
             rhs = family_mul(q_inv, element_pair(H, v, v))
@@ -520,7 +474,7 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
 
 def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
     from .category import elementary_morphisms, rtable
-    from .linalg import rank as mat_rank, nullspace, solve
+    from .linalg import msub, nullspace, rank as mat_rank, solve
 
     F = H.functor
     cat = F.cat
@@ -553,27 +507,17 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
                         parts.append(witness((a, b, z, it, x),
                                              deviation(lhs, rhs, tol)))
                 # independence and spanning: solve the intertwiner system
-                flat = [[T[r][cc] for r in range(D[z])
-                         for cc in range(D[a] * D[b])] for T in Ts]
+                flat = [[y for row in T for y in row] for T in Ts]
                 if mat_rank(flat, tol) != nz:
                     bad_span.append((a, b, z, "independence"))
+                # unknown M: M dm - hz M = 0, entries row-major; row-major
+                # vec(A X B) = (A (x) B^T) vec(X), since (A X B)[r][c] =
+                # sum_(r2, c2) A[r][r2] B^T[c][c2] X[r2][c2]
                 rows = []
                 for x, i, j, h in basis:
-                    dm = dcop[(x, i, j)]
-                    hz = h[z]
-                    # unknown M: M dm - hz M = 0, entries row-major
-                    for r in range(D[z]):
-                        for cc in range(D[a] * D[b]):
-                            row = []
-                            for r2 in range(D[z]):
-                                for c2 in range(D[a] * D[b]):
-                                    val = one.rational(0)
-                                    if r2 == r:
-                                        val = val + dm[c2][cc]
-                                    if c2 == cc:
-                                        val = val - hz[r][r2]
-                                    row.append(val)
-                            rows.append(row)
+                    rows += msub(kron(eye(D[z], one),
+                                      transpose(dcop[(x, i, j)])),
+                                 kron(h[z], eye(D[a] * D[b], one)))
                 if len(nullspace(rows, tol)) != nz:
                     bad_span.append((a, b, z, "span"))
     rep.record("transport-intertwiner", *parts)
@@ -584,7 +528,10 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
         parts = []
         for a in range(rk):
             for b in range(rk):
-                rep_braid = matmul(flip_matrix(D[a], D[b], one), H.R[(a, b)])
+                # the swap K^a (x) K^b -> K^b (x) K^a on the row legs
+                rep_braid = permute_legs(H.R[(a, b)],
+                                         (D[a], D[b], D[a] * D[b]),
+                                         (1, 0, 2), 2)
                 for z in range(rk):
                     nz = ring.N[a][b][z]
                     if not nz:
@@ -592,14 +539,11 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
                     Ts = bases[(a, b, z)]
                     Bs = bases[(b, a, z)]
                     tbl = rtable(cat, a, b, z)
-                    flat = transpose([[T[r][cc] for r in range(D[z])
-                                       for cc in range(D[a] * D[b])]
+                    flat = transpose([[y for row in T for y in row]
                                       for T in Ts])
                     for nu, B in enumerate(Bs):
-                        comp = matmul(B, rep_braid)
-                        target = [[comp[r][cc]]
-                                  for r in range(D[z])
-                                  for cc in range(D[a] * D[b])]
+                        target = [[y] for row in matmul(B, rep_braid)
+                                  for y in row]
                         coeffs = solve(flat, target, tol)
                         if coeffs is None:
                             parts.append(([(a, b, z, nu, "unsolvable")], 0.0))
@@ -627,8 +571,7 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
         # the dual rep lives on K^{D(a)} through d, so the middle leg of
         # phi_inv (an F(dual a) block leg) is conjugated accordingly
         assoc = leg_conjugate(dinv, H.phi_inv[(a, ab, a)], F.d[a], da, da)
-        snake = matmul_chain(kron(eye(da, one), evrow), assoc,
-                             kron(colv, eye(da, one)))
+        snake = leg_matmul(evrow, leg_rmatmul(assoc, colv, 1, da), da, 1)
         parts.append(witness((a, "snake"), deviation(snake, eye(da, one), tol)))
     rep.record("transport-rigidity", *parts)
 
@@ -638,7 +581,7 @@ def verify_structure_transport(H: WQHopf, tol: float = 0.0) -> Report:
         da = D[a]
         plain = [[one.rational(1) if i == j else one.rational(0)
                   for i in range(da) for j in range(da)]]
-        rhs = matmul(plain, kron(eye(da, one), H.alpha[a]))
+        rhs = leg_rmatmul(plain, H.alpha[a], da, 1)
         parts.append(witness((a,), deviation(rigidity[a][0], rhs, tol)))
     rep.record("transport-alpha-pairing", *parts)
     return rep

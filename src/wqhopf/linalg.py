@@ -7,7 +7,7 @@ exact for the cyclotomic backend and magnitude-based for the complex one.
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 from operator import mul
 
 from .scalars import (_CYC_ZERO, Approx, Cyc, _cyc, _fold_rows, euler_phi,
@@ -244,22 +244,37 @@ def leg_matmul(L, M, pre, post):
             for p in range(pre) for i in range(r) for q in range(post)]
 
 
+def leg_rmatmul(M, R, pre, post):
+    """M @ (1_pre (x) R (x) 1_post), through transposes: (M (1 (x) R (x)
+    1))^T = (1 (x) R^T (x) 1) M^T."""
+    return transpose(leg_matmul(transpose(R), transpose(M), pre, post))
+
+
 def leg_conjugate(L, M, R, pre, post):
-    """(1_pre (x) L (x) 1_post) @ M @ (1_pre (x) R (x) 1_post); the right
-    factor acts through transposes, (X (1 (x) R (x) 1))^T = (1 (x) R^T (x) 1)
-    X^T."""
-    X = leg_matmul(L, M, pre, post)
-    return transpose(leg_matmul(transpose(R), transpose(X), pre, post))
+    """(1_pre (x) L (x) 1_post) @ M @ (1_pre (x) R (x) 1_post)."""
+    return leg_rmatmul(leg_matmul(L, M, pre, post), R, pre, post)
 
 
-def flip_matrix(p, q, like):
-    """The swap K^p (x) K^q -> K^q (x) K^p, e_i (x) e_j -> e_j (x) e_i."""
-    out = zeros(p * q, p * q, like)
-    o = one_like(like)
-    for i in range(p):
-        for j in range(q):
-            out[j * p + i][i * q + j] = o
-    return out
+def permute_legs(M, dims, perm, nrow):
+    """M read as a tensor with legs of sizes dims, row legs first, with its
+    legs reordered so that leg perm[t] becomes leg t, and split again with
+    the first nrow legs indexing rows.
+
+    Row-major, entry (i_0, ..., i_k) of the tensor is entry i_0 s_0 + ... +
+    i_k s_k of M flattened, s_l the product of the sizes after leg l, so
+    the result flattened gathers M at sum_t j_t s_perm[t] over its own
+    multi-indices j, in row-major order.
+    """
+    flat = [x for row in M for x in row]
+    if len(flat) != prod(dims):
+        raise LinalgError(f"{len(flat)} entries do not split as {dims}")
+    strides = [prod(dims[k + 1:]) for k in range(len(dims))]
+    idx = [0]
+    for t in perm:
+        idx = [i + j * strides[t] for i in idx for j in range(dims[t])]
+    ncol = prod(dims[t] for t in perm[nrow:])
+    out = [flat[i] for i in idx]
+    return [out[r:r + ncol] for r in range(0, len(out), ncol)]
 
 
 def deviation(A, B, tol=0.0):
@@ -284,11 +299,6 @@ def deviation(A, B, tol=0.0):
 def is_identity(M, tol=0.0):
     r, c = dims(M)
     return r == c and not deviation(M, eye(r, M[0][0] if r else None), tol)[0]
-
-
-def max_deviation(M):
-    """Largest entry magnitude under the complex embedding (diagnostic only)."""
-    return max((abs(x.embed()) for row in M for x in row), default=0.0)
 
 
 def _pivot(rows, r, c, nr, tol):

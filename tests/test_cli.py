@@ -121,6 +121,19 @@ def test_tolerance_backend_invariant(capsys):
         RunConfig(command="verify", backend="approx", tolerance=0.0)
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tolerance_is_usage_error(tmp_path, capsys, tol):
+    dump = tmp_path / "ha.json"
+    assert main(["reconstruct", "--builtin", "vec_zn", "--n", "2", "--q", "1",
+                 "--backend", "approx", "-o", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(["check-hopf", str(dump), "--backend", "approx",
+                 f"--tol={tol}"]) == 2
+    assert main(["verify", "--builtin", "svec", "--backend", "approx",
+                 f"--tol={tol}"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_missing_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main([])

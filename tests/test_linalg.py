@@ -1,17 +1,17 @@
 """Exact linear algebra: elimination, kernels, and tensor index plumbing."""
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqhopf.linalg import (LinalgError, _packed_matmul, _scalar_matmul, dims,
-                           eye, flip_matrix, from_int_rows, inverse,
-                           is_identity, kron, leg_conjugate, leg_matmul,
-                           matmul, matmul_chain, max_deviation, msub,
-                           nullspace, rank, reshape_vector, rref, smul, solve,
-                           transpose, zeros)
+                           eye, from_int_rows, inverse, is_identity, kron,
+                           leg_conjugate, leg_matmul, leg_rmatmul, matmul,
+                           matmul_chain, nullspace, permute_legs, rank,
+                           reshape_vector, rref, smul, solve, transpose, zeros)
 from wqhopf.scalars import Cyc, euler_phi
 
 import pytest
@@ -50,7 +50,7 @@ def test_rank_nullity(M):
     assert rank(M) + len(ker) == nc
     for v in ker:
         img = matmul(M, [[x] for x in v])
-        assert max_deviation(img) == 0.0
+        assert img == zeros(len(M), 1, ONE)
 
 
 @given(int_mats())
@@ -62,7 +62,7 @@ def test_solve_consistency(M):
     B = matmul(M, x)
     sol = solve(M, B)
     assert sol is not None
-    assert max_deviation(msub(matmul(M, sol), B)) == 0.0
+    assert matmul(M, sol) == B
 
 
 def test_solve_inconsistent_returns_none():
@@ -96,17 +96,48 @@ def test_kron_mixed_product(A, B):
         return
     lhs = matmul(kron(A, B), kron(A, B))
     rhs = kron(matmul(A, A), matmul(B, B))
-    assert max_deviation(msub(lhs, rhs)) == 0.0
+    assert lhs == rhs
 
 
-def test_flip_matrix_swaps_factors():
+def test_permute_legs_swaps_kron_factors():
     A = _mat([[1, 2], [3, 4]])
     B = _mat([[0, 1], [1, 1], [2, 0]])
-    # flip on the codomain (2 kron 3) against flip on the domain (2 kron 2)
-    lhs = matmul(flip_matrix(2, 3, ONE), kron(A, B))
-    rhs = matmul(kron(B, A), flip_matrix(2, 2, ONE))
-    assert max_deviation(msub(lhs, rhs)) == 0.0
-    assert is_identity(matmul(flip_matrix(3, 2, ONE), flip_matrix(2, 3, ONE)))
+    # kron(A, B) has legs (row A, row B, col A, col B): swapping both pairs
+    # of legs gives kron(B, A), and swapping again gives kron(A, B) back
+    swapped = permute_legs(kron(A, B), (2, 3, 2, 2), (1, 0, 3, 2), 2)
+    assert swapped == kron(B, A)
+    assert permute_legs(swapped, (3, 2, 2, 2), (1, 0, 3, 2), 2) == kron(A, B)
+
+
+@st.composite
+def leg_tensors(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=2, max_size=6)))
+    perm = tuple(draw(st.permutations(range(len(sizes)))))
+    nrow_in = draw(st.integers(0, len(sizes)))
+    nrow = draw(st.integers(0, len(sizes)))
+    ncol = prod(sizes[nrow_in:])
+    flat = list(range(prod(sizes)))
+    M = [flat[r:r + ncol] for r in range(0, len(flat), ncol)]
+    return M, sizes, perm, nrow_in, nrow
+
+
+@given(leg_tensors())
+@settings(max_examples=150, deadline=None)
+def test_permute_legs_matches_index_formula(case):
+    M, sizes, perm, nrow_in, nrow = case
+    # leg t of the result is leg perm[t] of M: entry j of the result is
+    # entry i of M with i[perm[t]] = j[t], both read row-major
+    flat = [x for row in M for x in row]
+    strides = [prod(sizes[k + 1:]) for k in range(len(sizes))]
+    new = [sizes[t] for t in perm]
+    want = [flat[sum(j[t] * strides[perm[t]] for t in range(len(perm)))]
+            for j in product(*(range(d) for d in new))]
+    got = permute_legs(M, sizes, perm, nrow)
+    assert dims(got) == (prod(new[:nrow]), prod(new[nrow:]))
+    assert [x for row in got for x in row] == want
+    # the inverse permutation restores M, split as it was
+    inv = tuple(perm.index(t) for t in range(len(perm)))
+    assert permute_legs(got, new, inv, nrow_in) == M
 
 
 def test_reshape_vector_row_major():
@@ -119,10 +150,9 @@ def test_reshape_vector_row_major():
 def test_zeros_eye_shapes():
     Z = zeros(2, 3, ONE)
     assert len(Z) == 2 and len(Z[0]) == 3
-    assert max_deviation(Z) == 0.0
+    assert all(x.is_zero() for row in Z for x in row)
     assert is_identity(eye(4, ONE))
-    assert max_deviation(msub(smul(ONE.rational(2), eye(2, ONE)),
-                              _mat([[2, 0], [0, 2]]))) == 0.0
+    assert smul(ONE.rational(2), eye(2, ONE)) == _mat([[2, 0], [0, 2]])
 
 
 # pairwise coprime denominators, the largest far below float resolution
@@ -193,3 +223,5 @@ def test_leg_products_match_kronecker(L, pre, post, width):
     R = transpose(L)
     assert leg_conjugate(L, S, R, pre, post) == matmul_chain(
         big, S, kron(kron(I[0], R), I[1]))
+    assert leg_rmatmul(transpose(M), R, pre, post) == matmul(
+        transpose(M), kron(kron(I[0], R), I[1]))
