@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from .catalog import CatalogError, builtin
 from .category import CategoryError, verify_category
 from .files import (FileFormatError, algebra_from_json, algebra_to_json,
-                    approx_category, category_from_json, load_json, save_json,
-                    twist_to_json)
+                    approx_category, category_from_json, json_int, load_json,
+                    save_json, twist_to_json)
 from .functor import FunctorError, build_functor
 from .fusion import (DimensionFunction, FusionError, _dimension_function,
                      canonical_weak_dimension, is_weak_dimension_function,
@@ -154,11 +154,10 @@ def _dimension(cfg: RunConfig, ring) -> DimensionFunction:
     if cfg.dim == "minimal":
         return minimize_dimension_function(ring, cfg.bound)
     obj = load_json(cfg.dim)
-    values = obj["D"] if isinstance(obj, dict) else obj
-    try:
-        values = tuple(int(v) for v in values)
-    except TypeError as exc:
-        raise FileFormatError(f"{cfg.dim}: D must list integers") from exc
+    values = obj.get("D") if isinstance(obj, dict) else obj
+    if not isinstance(values, list):
+        raise FileFormatError(f'{cfg.dim}: "D" must be a list of integers')
+    values = tuple(json_int(v, f"{cfg.dim}: D entry") for v in values)
     # validated, and exactness recomputed rather than trusted from the file
     return _dimension_function(ring, values)
 

@@ -16,11 +16,18 @@ from .fusion import DimensionFunction, make_fusion_ring
 from .functor import FunctorData
 from .hopf import WQHopf
 from .linalg import mat_from_json, mat_to_json
-from .scalars import Approx, Cyc, to_approx
+from .scalars import Approx, Cyc, _json_is, to_approx
 
 
 class FileFormatError(ValueError):
     pass
+
+
+def json_int(x, field: str) -> int:
+    """x if a JSON integer; bool, float and str raise, never truncate."""
+    if not _json_is(x, int):
+        raise FileFormatError(f"{field} must be an integer, got {x!r}")
+    return x
 
 
 def _approx_mat(M):
@@ -65,11 +72,12 @@ def category_to_json(cat: Category) -> dict:
 def category_from_json(obj: dict, backend: str = "exact") -> Category:
     try:
         labels = tuple(obj["labels"])
-        dual = tuple(int(x) for x in obj["dual"])
+        dual = tuple(json_int(x, "dual") for x in obj["dual"])
         rk = len(labels)
         N = [[[0] * rk for _ in range(rk)] for _ in range(rk)]
-        for a, b, c, m in obj["N"]:
-            N[int(a)][int(b)][int(c)] = int(m)
+        for entry in obj["N"]:
+            a, b, c, m = (json_int(x, "N entry") for x in entry)
+            N[a][b][c] = m
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad fusion ring section: {exc}") from exc
     ring = make_fusion_ring(labels, dual, N)
@@ -85,12 +93,14 @@ def category_from_json(obj: dict, backend: str = "exact") -> Category:
         key = tuple(_idx(s) for s in entry["labels"])
         M = mat_from_json(entry["matrix"])
         if "rows" in entry:
-            stated = tuple((_idx(e), int(mu), int(nu))
+            stated = tuple((_idx(e), json_int(mu, "F row"),
+                            json_int(nu, "F row"))
                            for e, mu, nu in entry["rows"])
             if stated != e_triples(ring, *key):
                 raise FileFormatError(f"row basis mismatch at {entry['labels']}")
         if "cols" in entry:
-            stated = tuple((_idx(f), int(mu), int(nu))
+            stated = tuple((_idx(f), json_int(mu, "F column"),
+                            json_int(nu, "F column"))
                            for f, mu, nu in entry["cols"])
             if stated != f_triples(ring, *key):
                 raise FileFormatError(f"column basis mismatch at {entry['labels']}")
@@ -154,8 +164,9 @@ def functor_to_json(F: FunctorData) -> dict:
 def functor_from_json(obj: dict, cat: Category) -> FunctorData:
     idx = {s: i for i, s in enumerate(cat.ring.labels)}
     try:
-        D = DimensionFunction(tuple(int(x) for x in obj["D"]),
-                              bool(obj["exact"]))
+        D = DimensionFunction(
+            tuple(json_int(x, "functor D") for x in obj["D"]),
+            bool(obj["exact"]))
         c = {(idx[p[0]], idx[p[1]]): mat_from_json(e["matrix"])
              for e in obj["c"] for p in [e["pair"]]}
         c_inv = {(idx[p[0]], idx[p[1]]): mat_from_json(e["matrix"])
@@ -163,7 +174,8 @@ def functor_from_json(obj: dict, cat: Category) -> FunctorData:
         d = {idx[s]: mat_from_json(M) for s, M in obj["d"].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad functor section: {exc}") from exc
-    return FunctorData(cat, D, c, c_inv, d, int(obj["seed"]), obj["strategy"])
+    return FunctorData(cat, D, c, c_inv, d,
+                       json_int(obj["seed"], "functor seed"), obj["strategy"])
 
 
 def _family_to_json(lab, fam):
@@ -212,7 +224,8 @@ def algebra_from_json(obj: dict) -> WQHopf:
     ribbon = obj.get("ribbon_v")
     return WQHopf(
         functor=F,
-        blocks=tuple((str(lab), int(d)) for lab, d in obj["blocks"]),
+        blocks=tuple((str(lab), json_int(d, "block size"))
+                     for lab, d in obj["blocks"]),
         delta_unit=_family_from_json(idx, obj["delta_unit"]),
         phi=_family_from_json(idx, obj["phi"]),
         phi_inv=_family_from_json(idx, obj["phi_inv"]),

@@ -28,17 +28,6 @@ class FunctorError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedSpace:
-    """Multiplicity m_z per simple label, with D(z) copies of each summand."""
-    mult: tuple
-    copies: tuple
-
-    @property
-    def total(self) -> int:
-        return sum(m * d for m, d in zip(self.mult, self.copies))
-
-
 @dataclass(eq=False)
 class FunctorData:
     cat: Category
@@ -48,12 +37,6 @@ class FunctorData:
     d: dict       # a -> invertible D(dual a) x D(a)
     seed: int
     strategy: str
-
-
-def functor_on_object(F: FunctorData, w) -> GradedSpace:
-    ring = F.cat.ring
-    return GradedSpace(tuple(len(trees(ring, z, w)) for z in range(ring.rank)),
-                       F.D.values)
 
 
 def _offsets(F: FunctorData, w):
@@ -173,8 +156,15 @@ def build_functor(cat: Category, D: DimensionFunction,
     return FunctorData(cat, D, c, c_inv, d, seed, strategy)
 
 
-def _pair_sector_offset(ring, D, a, b, z):
-    return sum(ring.N[a][b][y] * D[y] for y in range(z))
+def _pair_sectors(F: FunctorData, x, y):
+    """Per label z, the first row in c[(x, y)] of each sector (z, tree) of
+    F(x (x) y), in tree order; a sector spans D(z) rows from its start."""
+    ring, D = F.cat.ring, F.D.values
+    out, row = [], 0
+    for z in range(ring.rank):
+        out.append([row + mu * D[z] for mu in range(ring.N[x][y][z])])
+        row += ring.N[x][y][z] * D[z]
+    return out
 
 
 def tensorator(F: FunctorData, w1, w2):
@@ -202,13 +192,14 @@ def tensorator(F: FunctorData, w1, w2):
             base2 = off2[y] + i2 * Dv[y]
             sc = F.c[(x, y)]
             sci = F.c_inv[(x, y)]
-            srow = _pair_sector_offset(ring, Dv, x, y, z) + mu * Dv[z]
+            srow = _pair_sectors(F, x, y)[z][mu]
+            # pair column i * D(y) + j is (i, j) of the (t1, t2) block
+            cols = [(base1 + i) * tot2 + base2 + j
+                    for i in range(Dv[x]) for j in range(Dv[y])]
             for k in range(Dv[z]):
-                for i in range(Dv[x]):
-                    for j in range(Dv[y]):
-                        col = (base1 + i) * tot2 + (base2 + j)
-                        C[ro + k][col] = sc[srow + k][i * Dv[y] + j]
-                        Ci[col][ro + k] = sci[i * Dv[y] + j][srow + k]
+                for col, v, vrow in zip(cols, sc[srow + k], sci):
+                    C[ro + k][col] = v
+                    Ci[col][ro + k] = vrow[srow + k]
             ro += Dv[z]
     return C, Ci
 

@@ -2,16 +2,17 @@
 
 A natural endotransformation of the functor is a family of matrices, one
 D(a) x D(a) block per simple label, so the algebra is H = (+)_a End(K^{D(a)}).
-Everything else is transported through the tensorator: the coproduct is
-delta_slot at degree 1, which conjugates the action on a pair word by
-(c_inv, c), the associator family phi and the braiding family R push the
-categorical structure morphisms into H tensor powers, the antipode conjugates
-transposed blocks by the duality matrices, and alpha / beta are the snake
-composites mixing the algebra-side evaluation with the vector-space one.  All
-identities are verified on the matrix unit basis, which suffices because they
-are multilinear.  Tensor legs are shuffled by linalg.permute_legs and acted
-on by linalg.leg_matmul / leg_rmatmul, never through a Kronecker product with
-an identity.
+Everything else is transported through the tensorator.  The coproduct is
+delta_slot at degree 1: the stored pair (c, c_inv) acts on F(x (x) y) one
+fusion sector (z, tree) at a time, with the sector rows of c listed by
+functor._pair_sectors.  The associator family phi and the braiding family R
+push the categorical structure morphisms into H tensor powers, the antipode
+conjugates transposed blocks by the duality matrices, and alpha / beta are
+the snake composites mixing the algebra-side evaluation with the
+vector-space one.  All identities are verified on the matrix unit basis,
+which suffices because they are multilinear.  Tensor legs are shuffled by
+linalg.permute_legs and acted on by linalg.leg_matmul / leg_rmatmul, never
+through a Kronecker product with an identity.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from itertools import product
 from math import prod
 
 from .category import (associator, associator_inv, braiding, braiding_inv,
-                       coev, ev, leaf, pair, trees)
-from .functor import (FunctorData, _offsets, functor_on_morphism, tensorator)
+                       coev, ev, leaf, pair)
+from .functor import (FunctorData, _pair_sectors, functor_on_morphism,
+                      tensorator)
 from .linalg import (LinalgError, deviation, eye, inverse, kron, leg_conjugate,
                      leg_matmul, leg_rmatmul, matmul, matmul_chain,
                      permute_legs, reshape_vector, smul, transpose, zeros)
@@ -58,10 +60,6 @@ class WQHopf:
 def unit_element(H: WQHopf) -> dict:
     one = H.functor.cat.one
     return {a: eye(d, one) for a, (_, d) in enumerate(H.blocks)}
-
-
-def element_mul(x: dict, y: dict) -> dict:
-    return {a: matmul(x[a], y[a]) for a in x}
 
 
 def matrix_units(H: WQHopf):
@@ -177,13 +175,9 @@ def basis_coproducts(H: WQHopf) -> dict:
            for i in range(D[a]) for j in range(D[a])}
     for x in range(rk):
         for y in range(rk):
-            w = pair(leaf(x), leaf(y))
-            off = _offsets(F, w)[0]
             c, c_inv = F.c[(x, y)], F.c_inv[(x, y)]
             n = D[x] * D[y]
-            for a in range(rk):
-                starts = [off[a] + t * D[a]
-                          for t in range(len(trees(ring, a, w)))]
+            for a, starts in enumerate(_pair_sectors(F, x, y)):
                 for i in range(D[a]):
                     cols = [[row[s + i] for s in starts] for row in c_inv]
                     for j in range(D[a]):
@@ -244,9 +238,19 @@ def pair_flip(H: WQHopf, fam: dict) -> dict:
 
 def delta_slot(H: WQHopf, fam: dict, i: int) -> dict:
     """Degree n to n+1: slot 0 is 1 (x) fam, slot n+1 is fam (x) 1, and a
-    middle slot splits the i-th tensor leg: fam acts on the pair word of
-    the new legs i, i+1 sector by sector, conjugated there by (c_inv, c).
-    At degree 1 this is the coproduct."""
+    middle slot splits the i-th tensor leg.  At degree 1 this is the
+    coproduct.
+
+    A middle slot is fam acting on F(x (x) y), x and y the labels of the new
+    legs, conjugated by 1 (x) c_inv (x) 1 and 1 (x) c (x) 1, c = c[(x, y)].
+    The action is block diagonal: the sum over sectors s = (z, tree) of
+    (1 (x) E_s (x) 1) fam_z (1 (x) E_s^T (x) 1), E_s the inclusion of s and
+    fam_z the member of fam with z on leg i.  With A_s = c_inv E_s the
+    columns and C_s = E_s^T c the rows of c_inv and c on s, the result is
+    sum_s (1 (x) A_s (x) 1) fam_z (1 (x) C_s (x) 1) = (1 (x) c_inv (x) 1) S,
+    S stacking X_s = fam_z (1 (x) C_s (x) 1) along the middle row leg, so no
+    dense action or other pre * T * post square is ever formed.
+    """
     F = H.functor
     ring, one = F.cat.ring, F.cat.one
     D = F.D.values
@@ -269,29 +273,15 @@ def delta_slot(H: WQHopf, fam: dict, i: int) -> dict:
         x, y = key2[i - 1], key2[i]
         pre = prod(D[k] for k in key2[:i - 1])
         post = prod(D[k] for k in key2[i + 1:])
-        w = pair(leaf(x), leaf(y))
-        T = _offsets(F, w)[1]
-        # the action of fam on F(x (x) y) in the middle leg: the (z, tree)
-        # sector at offset ro carries fam at z, whose rows are placed in
-        # pre-block slices, one contiguous run of D(z) * post entries each
-        M = zeros(pre * T * post, pre * T * post, one)
-        ro = 0
-        for z in range(rk):
-            inner = fam[key2[:i - 1] + (z,) + key2[i + 1:]]
-            dz = D[z]
-            run = dz * post
-            for _ in trees(ring, z, w):
-                for p in range(pre):
-                    for k in range(dz):
-                        for q in range(post):
-                            row = inner[(p * dz + k) * post + q]
-                            target = M[(p * T + ro + k) * post + q]
-                            for p2 in range(pre):
-                                at = (p2 * T + ro) * post
-                                target[at:at + run] = row[p2 * run:
-                                                          (p2 + 1) * run]
-                ro += dz
-        out[key2] = leg_conjugate(F.c_inv[(x, y)], M, F.c[(x, y)], pre, post)
+        c = F.c[(x, y)]
+        # (X_s, D(z)) per sector s = (z, tree), in the row order of c
+        blocks = [(leg_rmatmul(fam[key2[:i - 1] + (z,) + key2[i + 1:]],
+                               c[s:s + D[z]], pre, post), D[z])
+                  for z, starts in enumerate(_pair_sectors(F, x, y))
+                  for s in starts]
+        S = [X[(p * dz + k) * post + q] for p in range(pre)
+             for X, dz in blocks for k in range(dz) for q in range(post)]
+        out[key2] = leg_matmul(F.c_inv[(x, y)], S, pre, post)
     return out
 
 
@@ -431,7 +421,7 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
     for a, i, j, _ in basis:
         for b, k, l, _ in basis:
             lhs = sbasis[(a, i, l)] if (a, j) == (b, k) else szero
-            rhs = element_mul(sbasis[(b, k, l)], sbasis[(a, i, j)])
+            rhs = family_mul(sbasis[(b, k, l)], sbasis[(a, i, j)])
             parts.append(witness((a, i, j, b, k, l),
                                  family_deviation(lhs, rhs, tol)))
     rep.record("antipode-antimultiplicative", *parts)
@@ -439,8 +429,8 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
     if H.ribbon_v is not None:
         v = H.ribbon_v
         rep.record("ribbon-central", *(
-            witness((a, i, j), family_deviation(element_mul(v, h),
-                                                element_mul(h, v), tol))
+            witness((a, i, j), family_deviation(family_mul(v, h),
+                                                family_mul(h, v), tol))
             for a, i, j, h in basis))
 
         differs, worst = deviation([[counit(H, v)]], [[one]], tol)

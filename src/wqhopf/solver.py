@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .fusion import FusionRing
 from .linalg import eye, inverse, LinalgError
@@ -38,11 +39,6 @@ MAX_TABLES = 12
 
 _ONE = Cyc.rational(1)
 _ZERO = Cyc.rational(0)
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +268,11 @@ def _roots_pow(val, k, conductor):
     val = val.canonical()
     if val.is_zero():
         return [val]
-    n = _lcm(val.n, conductor)
+    n = lcm(val.n, conductor)
     if k == 2:
         r = sqrt_in_field(val, n)
         if r is None:
-            r = sqrt_in_field(val, _lcm(2 * val.n, conductor))
+            r = sqrt_in_field(val, lcm(2 * val.n, conductor))
         if r is None:
             return []
         return [r] if r.is_zero() else sorted([r, -r], key=lambda x: x.sort_key())
@@ -286,9 +282,9 @@ def _roots_pow(val, k, conductor):
 
 def _quad_roots(c2, c1, c0, conductor):
     disc = (c1 * c1 - 4 * c2 * c0).canonical()
-    s = sqrt_in_field(disc, _lcm(disc.n, conductor))
+    s = sqrt_in_field(disc, lcm(disc.n, conductor))
     if s is None:
-        s = sqrt_in_field(disc, _lcm(2 * disc.n, conductor))
+        s = sqrt_in_field(disc, lcm(2 * disc.n, conductor))
     if s is None:
         return []
     inv = (c2 + c2).inverse()

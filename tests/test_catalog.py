@@ -1,7 +1,5 @@
 """Builtin categories: certification, pinned invariants, twist derivation."""
 
-import cmath
-
 import pytest
 
 from wqhopf.catalog import (CatalogError, all_entries, builtin, catalog_keys,

@@ -3,7 +3,7 @@
 import pytest
 
 from wqhopf.catalog import builtin
-from wqhopf.category import (CategoryError, UNIT, associator, associator_inv,
+from wqhopf.category import (CategoryError, associator, associator_inv,
                              braiding, braiding_inv, coev, compose,
                              compose_path, elementary_morphisms,
                              ev, gauge_transform, identity_morphism,

@@ -171,6 +171,58 @@ def test_dims_file_is_validated(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj, field", [
+    ({"D": [1, 2.9]}, "D entry"),
+    ({"D": [1, True]}, "D entry"),
+    ({"D": [1, "2"]}, "D entry"),
+    ([1, 2.0], "D entry"),
+    ({"exact": False}, '"D"'),
+    ({"D": 2}, '"D" must be a list'),
+], ids=["float", "bool", "string", "bare-list-float", "no-D", "scalar-D"])
+def test_dims_file_rejects_non_integers(tmp_path, capsys, obj, field):
+    # int() would truncate 2.9 to 2 and read true as 1
+    dfile = tmp_path / "d.json"
+    save_json(str(dfile), obj)
+    assert main(["dims", "--builtin", "fibonacci", "--dim",
+                 str(dfile)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err and "Traceback" not in err
+
+
+def _set_functor_d(obj):
+    obj["functor"]["D"][1] = 2.5
+
+
+def _set_block_size(obj):
+    obj["blocks"][1][1] = 2.5
+
+
+def _set_seed(obj):
+    obj["functor"]["seed"] = True
+
+
+def _set_fusion_entry(obj):
+    obj["category"]["N"][0][3] = 1.0
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set_functor_d, "functor D"), (_set_block_size, "block size"),
+    (_set_seed, "functor seed"), (_set_fusion_entry, "N entry"),
+], ids=["functor-D", "block-size", "seed", "fusion-multiplicity"])
+def test_dump_rejects_non_integers(tmp_path, capsys, edit, field):
+    dfile, dump = tmp_path / "d.json", tmp_path / "h.json"
+    save_json(str(dfile), {"D": [1, 2]})
+    assert main(["reconstruct", "--builtin", "vec_zn", "--n", "2", "--q", "1",
+                 "--dim", str(dfile), "-o", str(dump)]) == 0
+    capsys.readouterr()
+    obj = load_json(str(dump))
+    edit(obj)
+    save_json(str(dump), obj)
+    assert main(["check-hopf", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and field in err and "Traceback" not in err
+
+
 def test_dims_infeasible_bound(capsys):
     assert main(["dims", "--builtin", "fibonacci", "--minimal", "1"]) == 2
 

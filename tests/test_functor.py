@@ -2,9 +2,8 @@
 
 from wqhopf.catalog import builtin
 from wqhopf.category import leaf, pair
-from wqhopf.functor import (build_functor, functor_on_morphism,
-                            functor_on_object, tensorator, verify_duality,
-                            verify_functor, _pair_rows)
+from wqhopf.functor import (_offsets, _pair_rows, build_functor, tensorator,
+                            verify_duality, verify_functor)
 from wqhopf.fusion import (DimensionFunction, canonical_weak_dimension,
                            minimize_dimension_function)
 from wqhopf.linalg import inverse, is_identity, matmul, rank
@@ -89,10 +88,8 @@ def test_word_tensorator_splits(fib_cat):
     w2 = leaf(1)
     c, ci = tensorator(F, w1, w2)
     assert is_identity(matmul(c, ci))
-    v1 = functor_on_object(F, w1)
-    v2 = functor_on_object(F, pair(w1, w2))
-    assert len(c[0]) == v1.total * D[1]
-    assert len(c) == v2.total
+    assert len(c[0]) == _offsets(F, w1)[1] * D[1]
+    assert len(c) == _offsets(F, pair(w1, w2))[1]
 
 
 def test_duality_iso_invertible(ising_cat):

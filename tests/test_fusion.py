@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from wqhopf.catalog import builtin, cyclic_ring, fibonacci_ring, ising_ring
+from wqhopf.catalog import cyclic_ring, fibonacci_ring, ising_ring
 from wqhopf.fusion import (FusionError, canonical_weak_dimension,
                            is_weak_dimension_function, make_fusion_ring,
                            max_weak_dimension, minimize_dimension_function,

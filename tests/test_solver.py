@@ -7,7 +7,7 @@ word-level verifiers is a genuine cross-check, not a tautology.
 import pytest
 
 from wqhopf.catalog import builtin, fibonacci_ring, ising_ring, svec_ring
-from wqhopf.category import ftable, make_category, rtable, verify_category
+from wqhopf.category import make_category, verify_category
 from wqhopf.fusion import make_fusion_ring
 from wqhopf.scalars import Cyc
 from wqhopf.solver import (SolverError, braided_solutions,

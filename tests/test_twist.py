@@ -8,7 +8,7 @@ import pytest
 from wqhopf.catalog import builtin
 from wqhopf.functor import build_functor
 from wqhopf.fusion import DimensionFunction, canonical_weak_dimension
-from wqhopf.hopf import family_deviation, family_mul, reconstruct
+from wqhopf.hopf import family_deviation, reconstruct
 from wqhopf.linalg import rank, transpose
 from wqhopf.scalars import Cyc
 from wqhopf.twist import (Cochain, TwistElement, TwistError, coboundary,
