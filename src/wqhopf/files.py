@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import product
+from math import prod
 
 from .category import (Category, e_triples, f_triples, make_category)
 from .fusion import DimensionFunction, make_fusion_ring
 from .functor import FunctorData
 from .hopf import WQHopf
-from .linalg import mat_from_json, mat_to_json
+from .linalg import dims, mat_from_json, mat_to_json
 from .scalars import Approx, Cyc, _json_is, to_approx
 
 
@@ -167,13 +169,16 @@ def functor_from_json(obj: dict, cat: Category) -> FunctorData:
         D = DimensionFunction(
             tuple(json_int(x, "functor D") for x in obj["D"]),
             bool(obj["exact"]))
-        c = {(idx[p[0]], idx[p[1]]): mat_from_json(e["matrix"])
-             for e in obj["c"] for p in [e["pair"]]}
-        c_inv = {(idx[p[0]], idx[p[1]]): mat_from_json(e["matrix"])
-                 for e in obj["c_inv"] for p in [e["pair"]]}
-        d = {idx[s]: mat_from_json(M) for s, M in obj["d"].items()}
+        c = _family_from_json(idx, obj["c"], "c", "pair")
+        c_inv = _family_from_json(idx, obj["c_inv"], "c_inv", "pair")
+        d = _labelled_from_json(idx, obj["d"], "d")
+    except FileFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"bad functor section: {exc}") from exc
+    if len(D.values) != cat.ring.rank or min(D.values) < 1:
+        raise FileFormatError(f"functor D must hold {cat.ring.rank} positive "
+                              f"integers, got {list(D.values)}")
     return FunctorData(cat, D, c, c_inv, d,
                        json_int(obj["seed"], "functor seed"), obj["strategy"])
 
@@ -183,9 +188,56 @@ def _family_to_json(lab, fam):
             for key, M in sorted(fam.items())]
 
 
-def _family_from_json(idx, entries):
-    return {tuple(idx[s] for s in e["key"]): mat_from_json(e["matrix"])
-            for e in entries}
+def _labels(idx, names, name):
+    try:
+        return tuple(idx[s] for s in names)
+    except (KeyError, TypeError):
+        raise FileFormatError(f"{name}: unknown label in key {names!r}") \
+            from None
+
+
+def _family_from_json(idx, entries, name, field="key"):
+    """A family list, [{field: labels, "matrix": M}, ...], as a dict over
+    label tuples; a key listed twice is refused, never overwritten."""
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) for e in entries)):
+        raise FileFormatError(f"{name} must be a list of keyed matrices")
+    fam = {}
+    for e in entries:
+        key = _labels(idx, e[field], name)
+        if key in fam:
+            raise FileFormatError(f"{name}: duplicate key {e[field]}")
+        fam[key] = mat_from_json(e["matrix"])
+    return fam
+
+
+def _labelled_from_json(idx, obj, name):
+    """A family object, {label: M, ...}, as a dict over label indices."""
+    if not isinstance(obj, dict):
+        raise FileFormatError(f"{name} must map labels to matrices")
+    return {_labels(idx, [s], name)[0]: mat_from_json(M)
+            for s, M in obj.items()}
+
+
+def _check_family(lab, name, fam, degree, shape):
+    """fam holds exactly one matrix per label key of the degree, keys of
+    degree 1 being bare labels, and the matrix at key has shape(*key)."""
+    keys = list(product(range(len(lab)), repeat=degree))
+    given = {(k,) if degree == 1 else k for k in fam}
+    extra = sorted(given - set(keys))
+    if extra:
+        raise FileFormatError(
+            f"{name}: unexpected key {[lab[k] for k in extra[0]]}")
+    for key in keys:
+        if key not in given:
+            raise FileFormatError(
+                f"{name}: missing key {[lab[k] for k in key]}")
+        got = dims(fam[key[0] if degree == 1 else key])
+        want = shape(*key)
+        if got != want:
+            raise FileFormatError(
+                f"{name} at {[lab[k] for k in key]}: shape {got[0]}x{got[1]}, "
+                f"expected {want[0]}x{want[1]}")
 
 
 def algebra_to_json(H: WQHopf) -> dict:
@@ -220,23 +272,54 @@ def algebra_from_json(obj: dict) -> WQHopf:
     if stated is not None and stated != category_hash(cat):
         raise FileFormatError("category hash does not match dump provenance")
     F = functor_from_json(obj["functor"], cat)
-    idx = {s: i for i, s in enumerate(cat.ring.labels)}
-    ribbon = obj.get("ribbon_v")
-    return WQHopf(
+    ring = cat.ring
+    idx = {s: i for i, s in enumerate(ring.labels)}
+    H = WQHopf(
         functor=F,
         blocks=tuple((str(lab), json_int(d, "block size"))
                      for lab, d in obj["blocks"]),
-        delta_unit=_family_from_json(idx, obj["delta_unit"]),
-        phi=_family_from_json(idx, obj["phi"]),
-        phi_inv=_family_from_json(idx, obj["phi_inv"]),
-        R=None if obj.get("R") is None else _family_from_json(idx, obj["R"]),
+        delta_unit=_family_from_json(idx, obj["delta_unit"], "delta_unit"),
+        phi=_family_from_json(idx, obj["phi"], "phi"),
+        phi_inv=_family_from_json(idx, obj["phi_inv"], "phi_inv"),
+        R=None if obj.get("R") is None
+            else _family_from_json(idx, obj["R"], "R"),
         R_inv=None if obj.get("R_inv") is None
-            else _family_from_json(idx, obj["R_inv"]),
-        alpha={idx[s]: mat_from_json(M) for s, M in obj["alpha"].items()},
-        beta={idx[s]: mat_from_json(M) for s, M in obj["beta"].items()},
-        ribbon_v=None if ribbon is None
-            else {idx[s]: mat_from_json(M) for s, M in ribbon.items()},
+            else _family_from_json(idx, obj["R_inv"], "R_inv"),
+        alpha=_labelled_from_json(idx, obj["alpha"], "alpha"),
+        beta=_labelled_from_json(idx, obj["beta"], "beta"),
+        ribbon_v=None if obj.get("ribbon_v") is None
+            else _labelled_from_json(idx, obj["ribbon_v"], "ribbon_v"),
     )
+    # coverage and shapes, so that no check meets a missing or misshapen
+    # matrix: sum_z N^z_ab D(z) rows of c per pair, squares on the legs
+    D = F.D.values
+
+    def sector_rows(a, b):
+        return sum(n * D[z] for z, n in enumerate(ring.N[a][b]))
+
+    def square(*key):
+        n = prod(D[k] for k in key)
+        return n, n
+
+    families = [
+        ("c", F.c, 2, lambda a, b: (sector_rows(a, b), D[a] * D[b])),
+        ("c_inv", F.c_inv, 2, lambda a, b: (D[a] * D[b], sector_rows(a, b))),
+        ("d", F.d, 1, lambda a: (D[ring.dual[a]], D[a])),
+        ("delta_unit", H.delta_unit, 2, square),
+        ("phi", H.phi, 3, square), ("phi_inv", H.phi_inv, 3, square),
+        ("alpha", H.alpha, 1, square), ("beta", H.beta, 1, square)]
+    for name, fam, degree, data, what in (
+            ("R", H.R, 2, cat.R, "a braiding"),
+            ("R_inv", H.R_inv, 2, cat.R, "a braiding"),
+            ("ribbon_v", H.ribbon_v, 1, cat.theta, "a twist")):
+        if (fam is None) != (data is None):
+            raise FileFormatError(
+                f"{name} must be given exactly when the category has {what}")
+        if fam is not None:
+            families.append((name, fam, degree, square))
+    for name, fam, degree, shape in families:
+        _check_family(ring.labels, name, fam, degree, shape)
+    return H
 
 
 def twist_to_json(lab, T, report) -> dict:
@@ -254,11 +337,42 @@ def twist_to_json(lab, T, report) -> dict:
 # ---------------------------------------------------------------------------
 
 def load_json(path: str) -> dict:
+    """The JSON document at path.  An object that repeats a key is refused,
+    named by the path of keys that leads to it: json would keep the last
+    value and drop the others silently."""
+    repeats = []
+
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            seen = set()
+            repeats.append((obj, next(k for k, _ in pairs
+                                      if k in seen or seen.add(k))))
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from exc
+    if repeats:
+        obj, key = repeats[0]
+        where = "/".join(map(str, _json_path(doc, obj))) or "top level"
+        raise FileFormatError(f"{path}: {where}: duplicate key {key!r}")
+    return doc
+
+
+def _json_path(node, target, path=()):
+    """The keys and list indices leading from node to the object target."""
+    if node is target:
+        return path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for k, v in items:
+        found = _json_path(v, target, path + (k,))
+        if found is not None:
+            return found
+    return None
 
 
 def save_json(path: str, obj) -> None:

@@ -12,7 +12,10 @@ the snake composites mixing the algebra-side evaluation with the
 vector-space one.  All identities are verified on the matrix unit basis,
 which suffices because they are multilinear.  Tensor legs are shuffled by
 linalg.permute_legs and acted on by linalg.leg_matmul / leg_rmatmul, never
-through a Kronecker product with an identity.
+through a Kronecker product with an identity.  quasi-coassociativity and
+phi-pentagon are decided on the fusion-tree image Phi = C_L phi A_R of the
+associator, T x T with T = sum_z N^z D(z), under two hypotheses on the
+stored data that are checked alongside; verify_weak_axioms holds the proof.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from itertools import product
 from math import prod
 
 from .category import (associator, associator_inv, braiding, braiding_inv,
-                       coev, ev, leaf, pair)
-from .functor import (FunctorData, _pair_sectors, functor_on_morphism,
-                      tensorator)
+                       coev, ev, leaf, pair, tree_index, trees)
+from .functor import (FunctorData, _offsets, _pair_sectors,
+                      functor_on_morphism, tensorator)
 from .linalg import (LinalgError, deviation, eye, inverse, kron, leg_conjugate,
                      leg_matmul, leg_rmatmul, matmul, matmul_chain,
                      permute_legs, reshape_vector, smul, transpose, zeros)
@@ -90,17 +93,12 @@ def reconstruct(F: FunctorData) -> WQHopf:
                   for a in range(rk) for b in range(rk)}
 
     phi, phi_inv = {}, {}
-    for a, b, c in product(range(rk), repeat=3):
-        A, B, C = leaf(a), leaf(b), leaf(c)
-        cR, cRi = tensorator(F, A, pair(B, C))
-        cL, cLi = tensorator(F, pair(A, B), C)
-        uR = leg_rmatmul(cR, F.c[(b, c)], D[a], 1)
-        uRp = leg_matmul(F.c_inv[(b, c)], cRi, D[a], 1)
-        uL = leg_rmatmul(cL, F.c[(a, b)], 1, D[c])
-        uLp = leg_matmul(F.c_inv[(a, b)], cLi, 1, D[c])
-        phi[(a, b, c)] = matmul_chain(
+    for key in product(range(rk), repeat=3):
+        A, B, C = (leaf(x) for x in key)
+        uL, uLp, uR, uRp = _nested_tensorators(F, *key)
+        phi[key] = matmul_chain(
             uLp, functor_on_morphism(F, associator(cat, A, B, C)), uR)
-        phi_inv[(a, b, c)] = matmul_chain(
+        phi_inv[key] = matmul_chain(
             uRp, functor_on_morphism(F, associator_inv(cat, A, B, C)), uL)
 
     Rfam = Rinv = None
@@ -132,6 +130,23 @@ def reconstruct(F: FunctorData) -> WQHopf:
 
     return WQHopf(F, blocks, delta_unit, phi, phi_inv, Rfam, Rinv,
                   alpha, beta, ribbon_v)
+
+
+def _nested_tensorators(F: FunctorData, a: int, b: int, c: int):
+    """(C_L, A_L, C_R, A_R) at the degree-3 key (a, b, c).
+
+    C_L = t_{ab,c} (c_ab (x) 1) maps K^a (x) K^b (x) K^c onto F((ab)c) and
+    C_R = t_{a,bc} (1 (x) c_bc) onto F(a(bc)), t the word tensorator; A_L
+    and A_R are built the same way from c_inv and run the other way.
+    """
+    D = F.D.values
+    A, B, C = leaf(a), leaf(b), leaf(c)
+    cL, cLi = tensorator(F, pair(A, B), C)
+    cR, cRi = tensorator(F, A, pair(B, C))
+    return (leg_rmatmul(cL, F.c[(a, b)], 1, D[c]),
+            leg_matmul(F.c_inv[(a, b)], cLi, 1, D[c]),
+            leg_rmatmul(cR, F.c[(b, c)], D[a], 1),
+            leg_matmul(F.c_inv[(b, c)], cRi, D[a], 1))
 
 
 def _rigidity_maps(F: FunctorData, a: int):
@@ -323,6 +338,166 @@ def _sweedler_pair(H: WQHopf, dh: dict, x: int, left: bool):
     return reshape_vector([y for y, in col], da, da)
 
 
+def _leaf_count(w) -> int:
+    return 1 if w[0] == "leaf" else _leaf_count(w[1]) + _leaf_count(w[2])
+
+
+def _graft(w, t, pos, sub):
+    """The tree t of the word w with the subtree sub put on leaf pos,
+    counted from the left, in place of the empty tree of that leaf."""
+    if w[0] == "leaf":
+        return sub
+    _, w1, w2 = w
+    z1, z2, t1, t2, mu = t
+    n1 = _leaf_count(w1)
+    if pos < n1:
+        return (z1, z2, _graft(w1, t1, pos, sub), t2, mu)
+    return (z1, z2, t1, _graft(w2, t2, pos - n1, sub), mu)
+
+
+def _graft_coords(F: FunctorData, V, W, pos, sub, pre=1, post=1):
+    """Per coordinate of K^pre (x) F(V) (x) K^post, F(V) in its (z, tree,
+    copy) order, the coordinate of K^pre (x) F(W) (x) K^post with the same
+    z and copy on the tree of V grafted with sub at leaf pos, counted from
+    the left; W is V with that leaf replaced by the word sub is a tree of."""
+    ring, D = F.cat.ring, F.D.values
+    off, size = _offsets(F, W)
+    grafted = []
+    for z in range(ring.rank):
+        index = tree_index(ring, z, W)
+        for t in trees(ring, z, V):
+            start = off[z] + index[_graft(V, t, pos, sub)] * D[z]
+            grafted.extend(range(start, start + D[z]))
+    return [(p * size + g) * post + q
+            for p in range(pre) for g in grafted for q in range(post)]
+
+
+def _placed(F: FunctorData, nrows: int, ncols: int, blocks):
+    """The nrows x ncols matrix holding each block M of the (rows, cols, M)
+    triples at those rows and columns, zero elsewhere."""
+    out = zeros(nrows, ncols, F.cat.one)
+    for rows, cols, M in blocks:
+        for r, block_row in zip(rows, M):
+            out_row = out[r]
+            for c, x in zip(cols, block_row):
+                out_row[c] = x
+    return out
+
+
+def _tree_phi(H: WQHopf, tol: float):
+    """Phi = C_L phi A_R per degree-3 key, and the report parts of the two
+    hypotheses H1 (c c_inv = 1 per pair) and H2 (A_L Phi C_R = phi per
+    key) that the tree-coordinate checks rest on."""
+    F = H.functor
+    one = F.cat.one
+    rk = F.cat.ring.rank
+    parts = []
+    for key in product(range(rk), repeat=2):
+        M = matmul(F.c[key], F.c_inv[key])
+        parts.append(witness(("section",) + key,
+                             deviation(M, eye(len(M), one), tol)))
+    Phi = {}
+    for key in product(range(rk), repeat=3):
+        CL, AL, CR, AR = _nested_tensorators(F, *key)
+        Phi[key] = matmul_chain(CL, H.phi[key], AR)
+        parts.append(witness(("absorb",) + key, deviation(
+            matmul_chain(AL, Phi[key], CR), H.phi[key], tol)))
+    return Phi, parts
+
+
+def _commutator_parts(H: WQHopf, Phi: dict, tol: float):
+    """Per matrix unit h = E^a_ij, the degree-3 keys at which Phi E_R(h)
+    and E_L(h) Phi differ, E(h) acting by E_ij on every copy block of a.
+
+    Phi E_R(h) holds column (a, t, i) of Phi at column (a, t, j) and is zero
+    elsewhere; E_L(h) Phi holds row (a, t, j) of Phi at row (a, t, i).  So
+    the two agree when they agree on those rows and columns, and each side
+    there is an entry of Phi or zero: no product is formed.
+    """
+    F = H.functor
+    ring, D = F.cat.ring, F.D.values
+    zero = F.cat.one.rational(0)
+    frames = {}
+    for key in Phi:
+        X, Y, Z = (leaf(x) for x in key)
+        WL, WR = pair(pair(X, Y), Z), pair(X, pair(Y, Z))
+        frames[key] = (_offsets(F, WL)[0], _offsets(F, WR)[0],
+                       [len(trees(ring, a, WL)) for a in range(ring.rank)])
+    parts = []
+    for a, i, j, _ in matrix_units(H):
+        bad, worst = [], 0.0
+        for key, M in Phi.items():
+            offL, offR, count = frames[key]
+            # row (a, t, i) of E_L(h) Phi reads row (a, t, j) of Phi, and
+            # column (a, t, j) of Phi E_R(h) reads column (a, t, i)
+            src = {offL[a] + t * D[a] + i: offL[a] + t * D[a] + j
+                   for t in range(count[a])}
+            dst = {offR[a] + t * D[a] + j: offR[a] + t * D[a] + i
+                   for t in range(count[a])}
+            cells = [(r, c) for r in range(len(M)) for c in dst]
+            cells += [(r, c) for r in src for c in range(len(M[0]))
+                      if c not in dst]
+            differs, w = deviation(
+                [[M[r][dst[c]] if c in dst else zero for r, c in cells]],
+                [[M[src[r]][c] if r in src else zero for r, c in cells]],
+                tol)
+            if differs:
+                bad.append((a, i, j) + key)
+            worst = max(worst, w)
+        parts.append((bad, worst))
+    return parts
+
+
+def _pentagon_parts(H: WQHopf, Phi: dict, tol: float):
+    """Per degree-4 key, the key as a witness when M_lhs and M_rhs of
+    verify_weak_axioms differ there."""
+    F = H.functor
+    ring, D = F.cat.ring, F.D.values
+    rk = ring.rank
+
+    def size(w):
+        return _offsets(F, w)[1]
+
+    # Psi_L = t_L^- Phi, Psi_R = Phi t_R and Theta = t_L^- Phi t_R per
+    # degree-3 key, t_L and t_R the word tensorators of (xy)z and x(yz)
+    tri = {}
+    for key, M in Phi.items():
+        X, Y, Z = (leaf(x) for x in key)
+        tLi = tensorator(F, pair(X, Y), Z)[1]
+        tR = tensorator(F, X, pair(Y, Z))[0]
+        psi = matmul(tLi, M)
+        tri[key] = psi, matmul(M, tR), matmul(psi, tR)
+    parts = []
+    for key in product(range(rk), repeat=4):
+        a, b, c, d = key
+        A, B, C, E = (leaf(x) for x in key)
+        ab, bc, cd = pair(A, B), pair(B, C), pair(C, E)
+        inner = size(pair(ab, cd))
+        left = _placed(F, size(pair(ab, C)) * D[d], inner, [
+            (_graft_coords(F, pair(leaf(z), C), pair(ab, C), 0, t,
+                           post=D[d]),
+             _graft_coords(F, pair(leaf(z), cd), pair(ab, cd), 0, t),
+             tri[(z, c, d)][0])
+            for z in range(rk) for t in trees(ring, z, ab)])
+        right = _placed(F, inner, D[a] * size(pair(B, cd)), [
+            (_graft_coords(F, pair(ab, leaf(z)), pair(ab, cd), 2, t),
+             _graft_coords(F, pair(B, leaf(z)), pair(B, cd), 1, t,
+                           pre=D[a]),
+             tri[(a, b, z)][1])
+            for z in range(rk) for t in trees(ring, z, cd)])
+        mid = _placed(F, size(pair(A, bc)) * D[d], D[a] * size(pair(bc, E)), [
+            (_graft_coords(F, pair(A, leaf(z)), pair(A, bc), 1, t,
+                           post=D[d]),
+             _graft_coords(F, pair(leaf(z), E), pair(bc, E), 0, t,
+                           pre=D[a]),
+             tri[(a, z, d)][2])
+            for z in range(rk) for t in trees(ring, z, bc)])
+        rhs = leg_rmatmul(leg_matmul(Phi[(a, b, c)], mid, 1, D[d]),
+                          Phi[(b, c, d)], D[a], 1)
+        parts.append(witness(key, deviation(matmul(left, right), rhs, tol)))
+    return parts
+
+
 def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
     """The weak quasi-Hopf identities on the matrix unit basis.
 
@@ -334,6 +509,57 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
     [j = k] E_il for matrix units of one block.  Delta and S are linear, so
     Delta(E^a_ij E^b_kl) is Delta(E^a_il) when a = b and j = k and the zero
     family otherwise, and likewise for S.
+
+    quasi-coassociativity and phi-pentagon are decided in fusion-tree
+    coordinates, on T x T images with T = sum_z N^z D(z), and never form a
+    product of two tensor-leg squares.  F(w) has the (z, tree, copy)
+    coordinates of functor._offsets, t_{v,w} and t^-_{v,w} are the word
+    tensorators of functor.tensorator, and C_L, A_L, C_R, A_R are the
+    nested ones of _nested_tensorators, so reconstruct sets phi = A_L
+    F(assoc) C_R.  For a word V the nested C_V is t_{V1,V2} (C_V1 (x) C_V2),
+    C = c at a pair of leaves, and A_V likewise from t^- and c_inv.  Two
+    hypotheses are computed and recorded, never assumed; a failure of
+    either is a witness of both checks:
+      H1  c c_inv = 1 at every pair, witness ("section", x, y).  Each t
+          t^- is then 1, since t spreads the rows of c and t^- the matching
+          columns of c_inv, so C_V A_V = 1 for every word V.
+      H2  A_L Phi C_R = phi at every key, witness ("absorb", a, b, c), where
+          Phi = C_L phi A_R is the tree image of phi.
+
+    Grafting.  Let W be the word V with its leaf z at position p replaced by
+    a pair xy, s = (z, t) a sector of F(x (x) y), E_s its inclusion and Q_s
+    the coordinate map F(V) -> F(W) of _graft_coords, which grafts t onto
+    leaf p.  t^-_{W1,V2} Q_s = (Q_s (x) 1) t^-_{V1,V2} when the leaf lies in
+    V1 (both write the same block of c_inv, into the tree and its graft),
+    and likewise on the right and for t; induction over V gives, with no
+    hypothesis, A_W Q_s = (1 (x) c_inv E_s (x) 1) A_V and Q_s^T C_W = C_V
+    (1 (x) E_s^T c (x) 1).  delta_slot sums (1 (x) c_inv E_s (x) 1) fam_z
+    (1 (x) E_s^T c (x) 1) over s, and every tree of W is exactly one graft,
+    so (a) Delta_2 Delta(h) = A_R E_R(h) C_R and Delta_1 Delta(h) = A_L
+    E_L(h) C_L, E(h) acting by h_z on every copy block of z; and (b) under
+    H2, Delta_s(phi) at a middle slot s is A_out Y_s C_in, Y_s the blocks of
+    Phi at the sub-keys placed by grafting.
+
+    quasi-coassociativity.  By (a), H2 and H1, phi Delta_2 Delta(h) = A_L
+    Phi C_R A_R E_R(h) C_R = A_L Phi E_R(h) C_R, and Delta_1 Delta(h) phi =
+    A_L E_L(h) Phi C_R.  A_L has the left inverse C_L and C_R the right
+    inverse A_R, so the sides agree exactly when Phi E_R(h) = E_L(h) Phi,
+    an entry comparison for a matrix unit h (_commutator_parts).
+
+    phi-pentagon.  At (a, b, c, d), write A_L for that of (a, b, c) and C_R
+    for that of (b, c, d).  By (b) with C_(ab)(cd) A_(ab)(cd) = 1 (H1),
+    Delta_1 phi Delta_3 phi = (A_L (x) 1) M_lhs (1 (x) C_R) with M_lhs =
+    t^-_{(ab)c,d} Y_1 Y_3 t_{a,b(cd)}.  By H2 and H1, Delta_4 phi = A_L
+    Phi_abc C_R^abc (x) 1 and Delta_0 phi = 1 (x) A_L^bcd Phi_bcd C_R absorb
+    the outer maps of Delta_2 phi, so Delta_4 phi Delta_2 phi Delta_0 phi =
+    (A_L (x) 1) M_rhs (1 (x) C_R) with M_rhs = (Phi_abc (x) 1)
+    t^-_{a(bc),d} Y_2 t_{a,(bc)d} (1 (x) Phi_bcd).  (C_L (x) 1)(A_L (x) 1)
+    = 1 and (1 (x) C_R)(1 (x) A_R) = 1, so the sides agree exactly when
+    M_lhs = M_rhs, with no condition on the end slots.  By the grafting
+    identity, M_lhs is the product of the placements t^- Y_1 of the blocks
+    t^-_{zc,d} Phi_zcd and Y_3 t of the blocks Phi_abz t_{a,bz}, and t^- Y_2
+    t is the placement of the blocks t^-_{az,d} Phi_azd t_{a,zd}
+    (_pentagon_parts).
     """
     F = H.functor
     ring, one = F.cat.ring, F.cat.one
@@ -356,21 +582,10 @@ def verify_weak_axioms(H: WQHopf, tol: float = 0.0) -> Report:
                                                         dunit, tol))
                         for i in (1, 2, 3)))
 
-    parts = []
-    for a, i, j, h in basis:
-        dh = dbasis[(a, i, j)]
-        lhs = family_mul(H.phi, delta_slot(H, dh, 2))
-        rhs = family_mul(delta_slot(H, dh, 1), H.phi)
-        parts.append(prefixed((a, i, j), family_deviation(lhs, rhs, tol)))
-    rep.record("quasi-coassociativity", *parts)
-
-    # cocycle order for an associator mapping right-nested to left-nested:
-    # delta_1 then delta_3 against delta_4 delta_2 delta_0
-    lhs = family_mul(delta_slot(H, H.phi, 1), delta_slot(H, H.phi, 3))
-    rhs = family_mul(family_mul(delta_slot(H, H.phi, 4),
-                                delta_slot(H, H.phi, 2)),
-                     delta_slot(H, H.phi, 0))
-    rep.record("phi-pentagon", family_deviation(lhs, rhs, tol))
+    Phi, hypotheses = _tree_phi(H, tol)
+    rep.record("quasi-coassociativity", *hypotheses,
+               *_commutator_parts(H, Phi, tol))
+    rep.record("phi-pentagon", *hypotheses, *_pentagon_parts(H, Phi, tol))
 
     if H.R is not None:
         parts = []

@@ -1,4 +1,4 @@
-"""Acceptance gate: nine headline properties, each timed and announced.
+"""Acceptance gate: ten headline properties, each timed and announced.
 
 Every test prints a single summary line even under capture, so a full run
 shows at a glance which gates hold. All algebraic gates run on the exact
@@ -293,3 +293,26 @@ def test_gate_9_fibonacci_canonical(capsys):
           f"0, {dt:.1f}s (< 10s)")
     assert not problems, problems
     assert dt < 10.0
+
+
+def test_gate_10_ising_canonical(capsys):
+    t0 = time.perf_counter()
+    cat = builtin("ising").category
+    D = canonical_weak_dimension(cat.ring)
+    H = reconstruct(build_functor(cat, D))
+    rep = verify_weak_axioms(H)
+    rep.extend(verify_structure_transport(H))
+    dt = time.perf_counter() - t0
+    problems = []
+    if (D.values, H.dim) != ((1, 4, 3), 26):
+        problems.append(("D, dim", D.values, H.dim))
+    if len(rep.checks) != 24 or not rep.passed:
+        problems.append(("checks", len(rep.checks),
+                         [c.id for c in rep.failures()]))
+    ok = not problems and dt < 30.0
+    _gate(capsys, "gate 10 ising canonical", ok,
+          f"D=(1,4,3), dim 26, {sum(c.passed for c in rep.checks)}/"
+          f"{len(rep.checks)} weak-axiom and transport checks at tolerance "
+          f"0, {dt:.1f}s (< 30s)")
+    assert not problems, problems
+    assert dt < 30.0

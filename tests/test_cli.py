@@ -1,6 +1,8 @@
 """End-to-end command line behaviour, driven in process through main()."""
 
+import copy
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +223,145 @@ def test_dump_rejects_non_integers(tmp_path, capsys, edit, field):
     assert main(["check-hopf", str(dump)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and field in err and "Traceback" not in err
+
+
+def _z2_dump(tmp_path, capsys):
+    """vec_zn(2, 1) at D = (1, 2), dumped; returns (path, parsed dump)."""
+    dfile, dump = tmp_path / "d.json", tmp_path / "h.json"
+    save_json(str(dfile), {"D": [1, 2]})
+    assert main(["reconstruct", "--builtin", "vec_zn", "--n", "2", "--q", "1",
+                 "--dim", str(dfile), "-o", str(dump)]) == 0
+    capsys.readouterr()
+    return dump, load_json(str(dump))
+
+
+def _family_list(obj, name):
+    return obj["functor"][name] if name in ("c", "c_inv") else obj[name]
+
+
+@pytest.mark.parametrize("name", ["c", "c_inv", "delta_unit", "phi",
+                                  "phi_inv", "R", "R_inv"])
+def test_dump_rejects_duplicate_family_key(tmp_path, capsys, name):
+    dump, obj = _z2_dump(tmp_path, capsys)
+    entries = _family_list(obj, name)
+    entries.append(copy.deepcopy(entries[-1]))
+    save_json(str(dump), obj)
+    assert main(["check-hopf", str(dump)]) == 2
+    err = capsys.readouterr().err
+    field = "pair" if name in ("c", "c_inv") else "key"
+    assert f"error: {name}: duplicate key {entries[-1][field]}" in err
+    assert "Traceback" not in err
+
+
+def test_dump_rejects_tampered_phi_shadowed_by_valid_duplicate(
+        tmp_path, capsys):
+    # json keeps both list entries, and a dict built from them kept only the
+    # valid second one, so the tampered dump passed every check
+    dump, obj = _z2_dump(tmp_path, capsys)
+    pos, entry = next((i, e) for i, e in enumerate(obj["phi"])
+                      if e["key"] == ["1", "1", "1"])
+    bad = copy.deepcopy(entry)
+    scalar = bad["matrix"][0][0]
+    scalar["coeffs"][0] = str(Fraction(scalar["coeffs"][0]) + 1)
+    obj["phi"].insert(pos, bad)
+    save_json(str(dump), obj)
+    assert main(["check-hopf", str(dump)]) == 2
+    assert "phi: duplicate key ['1', '1', '1']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path, shown", [
+    (("alpha",), "alpha"), (("beta",), "beta"), (("functor", "d"), "functor/d"),
+    (("ribbon_v",), "ribbon_v"),
+], ids=["alpha", "beta", "d", "ribbon_v"])
+def test_dump_rejects_repeated_object_key(tmp_path, capsys, path, shown):
+    dump, obj = _z2_dump(tmp_path, capsys)
+    target = obj
+    for k in path:
+        target = target[k]
+    label, M = list(target.items())[-1]
+    # json.dump cannot repeat a key: write a marker key, then rename it
+    target["repeated-label"] = M
+    dump.write_text(json.dumps(obj).replace('"repeated-label"',
+                                            json.dumps(label)))
+    assert main(["check-hopf", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert f"{shown}: duplicate key {label!r}" in err
+    assert "Traceback" not in err
+
+
+def _drop_entry(name, key):
+    def edit(obj):
+        entries = _family_list(obj, name)
+        entries.remove(next(e for e in entries
+                            if e.get("key", e.get("pair")) == key))
+    return edit
+
+
+def _narrow(name, key):
+    # drop the last column of the matrix at key
+    def edit(obj):
+        fam = obj.get(name, obj["functor"].get(name))
+        if isinstance(fam, dict):
+            M = fam[key]
+        else:
+            M = next(e for e in fam
+                     if e.get("key", e.get("pair")) == key)["matrix"]
+        for row in M:
+            row.pop()
+    return edit
+
+
+def _drop_row(name, key):
+    def edit(obj):
+        next(e for e in _family_list(obj, name)
+             if e["pair"] == key)["matrix"].pop()
+    return edit
+
+
+def _short_key(obj):
+    obj["phi"][0]["key"] = ["0", "0"]
+
+
+def _unknown_label(obj):
+    obj["phi"][0]["key"] = ["0", "0", "x"]
+
+
+def _drop_braiding(obj):
+    obj["R"] = obj["R_inv"] = None
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_entry("phi", ["1", "1", "1"]), "phi: missing key ['1', '1', '1']"),
+    (_drop_entry("delta_unit", ["0", "1"]),
+     "delta_unit: missing key ['0', '1']"),
+    (_drop_entry("R_inv", ["1", "0"]), "R_inv: missing key ['1', '0']"),
+    (_drop_entry("c", ["1", "1"]), "c: missing key ['1', '1']"),
+    (_narrow("phi", ["1", "1", "1"]),
+     "phi at ['1', '1', '1']: shape 8x7, expected 8x8"),
+    (_narrow("phi_inv", ["0", "1", "1"]),
+     "phi_inv at ['0', '1', '1']: shape 4x3, expected 4x4"),
+    (_drop_row("c", ["1", "0"]), "c at ['1', '0']: shape 1x2, expected 2x2"),
+    (_narrow("c_inv", ["1", "0"]),
+     "c_inv at ['1', '0']: shape 2x1, expected 2x2"),
+    (_narrow("d", "1"), "d at ['1']: shape 2x1, expected 2x2"),
+    (_narrow("alpha", "1"), "alpha at ['1']: shape 2x1, expected 2x2"),
+    (_narrow("ribbon_v", "1"), "ribbon_v at ['1']: shape 2x1, expected 2x2"),
+    (_short_key, "phi: unexpected key ['0', '0']"),
+    (_unknown_label, "phi: unknown label in key ['0', '0', 'x']"),
+    (_drop_braiding, "R must be given exactly when the category has a "
+                     "braiding"),
+], ids=["missing-phi", "missing-delta-unit", "missing-R-inv", "missing-c",
+        "narrow-phi", "narrow-phi-inv", "short-c", "narrow-c-inv", "narrow-d",
+        "narrow-alpha", "narrow-ribbon", "short-key", "unknown-label",
+        "no-braiding"])
+def test_dump_rejects_missing_or_misshapen_matrix(tmp_path, capsys, edit,
+                                                   message):
+    dump, obj = _z2_dump(tmp_path, capsys)
+    edit(obj)
+    save_json(str(dump), obj)
+    assert main(["check-hopf", str(dump)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
 
 
 def test_dims_infeasible_bound(capsys):

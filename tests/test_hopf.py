@@ -13,14 +13,16 @@ import pytest
 from wqhopf.catalog import builtin
 from wqhopf.category import elementary_morphisms, leaf, pair, trees
 from wqhopf.functor import _offsets, build_functor, functor_on_morphism
-from wqhopf.fusion import DimensionFunction, minimize_dimension_function
-from wqhopf.hopf import (HopfError, WQHopf, antipode, basis_coproducts,
-                         coproduct, counit, delta_slot, element_pair,
-                         eps_slot, family_deviation, family_mul,
+from wqhopf.fusion import (DimensionFunction, canonical_weak_dimension,
+                           minimize_dimension_function)
+from wqhopf.hopf import (HopfError, WQHopf, _nested_tensorators, antipode,
+                         basis_coproducts, coproduct, counit, delta_slot,
+                         element_pair, eps_slot, family_deviation, family_mul,
                          matrix_units, pair_flip, reconstruct, unit_element,
                          verify_structure_transport, verify_weak_axioms)
 from wqhopf.linalg import (eye, is_identity, kron, madd, matmul, matmul_chain,
-                           permute_legs, rank, transpose, zeros)
+                           msub, permute_legs, rank, smul, transpose, zeros)
+from wqhopf.report import prefixed
 from wqhopf.scalars import Cyc
 from wqhopf.twist import TwistElement, twist_between, verify_twist
 
@@ -193,6 +195,35 @@ def _tiny_unit_section(H):
     return _all_checks(replace(H, functor=F))
 
 
+def _tiny_phi_off_range(H):
+    # phi + eps (E - P_L E P_R) at (1, 1, 1), E a matrix unit that the unit
+    # projectors P_L = A_L C_L and P_R = A_R C_R move: the tree image Phi is
+    # unchanged, so only the absorption hypothesis sees the component
+    key = (1, 1, 1)
+    CL, AL, CR, AR = _nested_tensorators(H.functor, *key)
+    PL, PR = matmul(AL, CL), matmul(AR, CR)
+    n = len(PL)
+    for r, c in product(range(n), repeat=2):
+        E = zeros(n, n, TINY)
+        E[r][c] = Cyc.rational(1)
+        K = msub(E, matmul_chain(PL, E, PR))
+        if any(not x.is_zero() for row in K for x in row):
+            break
+    phi = {**H.phi, key: madd(H.phi[key], smul(TINY, K))}
+    return verify_weak_axioms(replace(H, phi=phi))
+
+
+def _tiny_section(H):
+    # c at the pair (1, 1) such that c c_inv misses the identity by eps
+    c, c_inv = H.functor.c[(1, 1)], H.functor.c_inv[(1, 1)]
+    k = next(k for k, row in enumerate(c_inv) if not row[0].is_zero())
+    M = [row[:] for row in c]
+    M[0][k] = M[0][k] + TINY * c_inv[k][0].inverse()
+    assert matmul(M, c_inv)[0][0] == Cyc.rational(1) + TINY
+    F = replace(H.functor, c={**H.functor.c, (1, 1): M})
+    return verify_weak_axioms(replace(H, functor=F))
+
+
 def _tiny_twist(H):
     T = twist_between(H, H)
     return verify_twist(H, H, TwistElement(_raised(T.T, (1, 1)), T.T_inv))
@@ -212,12 +243,22 @@ def _tiny_ribbon(H):
     (_tiny_braiding, {"ff3", "ff4", "r-intertwine"}),
     (_tiny_unit_section, {"coproduct-multiplicative", "counit-laws",
                           "transport-intertwiner"}),
+    (_tiny_phi_off_range, {"quasi-coassociativity", "phi-pentagon"}),
+    (_tiny_section, {"quasi-coassociativity", "phi-pentagon"}),
 ])
 def test_sub_float_perturbation_fails(z2_weak, check, must_fail):
     rep = check(z2_weak)
     assert must_fail <= {c.id for c in rep.failures()}
     # the float diagnostic cannot see the difference that decided the verdict
     assert all(rep[i].worst_deviation == 0.0 for i in must_fail)
+
+
+def test_hypothesis_failures_are_witnesses_of_both_tree_checks(z2_weak):
+    ids = ("quasi-coassociativity", "phi-pentagon")
+    rep = _tiny_section(z2_weak)
+    assert all(("section", 1, 1) in rep[i].witnesses for i in ids)
+    rep = _tiny_phi_off_range(z2_weak)
+    assert all(rep[i].witnesses == (("absorb", 1, 1, 1),) for i in ids)
 
 
 def test_eps_slot_recovers_counit_legs(flagship):
@@ -296,6 +337,81 @@ def test_delta_slot_matches_dense_conjugation(request, name):
         want = _dense_delta_slot(H, fam, i)
         assert got.keys() == want.keys()
         assert family_deviation(got, want) == ([], 0.0)
+
+
+def _dense_quasi_coassociativity(H):
+    """quasi-coassociativity witnesses by the route verify_weak_axioms took
+    before it compared tree images: phi Delta_2 Delta(h) against Delta_1
+    Delta(h) phi on the full tensor legs, per matrix unit h."""
+    return [w for (a, i, j), dh in basis_coproducts(H).items()
+            for w in prefixed((a, i, j), family_deviation(
+                family_mul(H.phi, delta_slot(H, dh, 2)),
+                family_mul(delta_slot(H, dh, 1), H.phi)))[0]]
+
+
+def _dense_pentagon(H):
+    """phi-pentagon witnesses by the dense route: Delta_1 phi Delta_3 phi
+    against Delta_4 phi Delta_2 phi Delta_0 phi on the full tensor legs."""
+    lhs = family_mul(delta_slot(H, H.phi, 1), delta_slot(H, H.phi, 3))
+    rhs = family_mul(family_mul(delta_slot(H, H.phi, 4),
+                                delta_slot(H, H.phi, 2)),
+                     delta_slot(H, H.phi, 0))
+    return family_deviation(lhs, rhs)[0]
+
+
+def _tree_witnesses(H):
+    rep = verify_weak_axioms(H)
+    return (list(rep["quasi-coassociativity"].witnesses),
+            list(rep["phi-pentagon"].witnesses))
+
+
+@pytest.fixture(scope="module")
+def fib_canonical(fib_cat):
+    D = canonical_weak_dimension(fib_cat.ring)
+    return reconstruct(build_functor(fib_cat, D))
+
+
+@pytest.fixture(scope="module")
+def z2_seed3():
+    cat = builtin("vec_zn", n=2, q=1).category
+    D = DimensionFunction((1, 2), False)
+    return reconstruct(build_functor(cat, D, strategy="random", seed=3))
+
+
+@pytest.mark.parametrize("name", ("flagship", "fib_canonical", "ising_seed7",
+                                  "z2_weak", "z2_seed3"))
+def test_tree_checks_match_dense_route(request, name):
+    H = request.getfixturevalue(name)
+    assert _tree_witnesses(H) == ([], [])
+    assert _dense_quasi_coassociativity(H) == _dense_pentagon(H) == []
+
+
+@pytest.mark.parametrize("name, key", [
+    ("z2_weak", (0, 0, 1)), ("z2_seed3", (1, 1, 1)),
+    ("flagship_seed7", (1, 1, 1)), ("ising_seed7", (2, 1, 1)),
+])
+def test_tree_checks_match_dense_route_on_perturbed_phi(request, name, key):
+    # phi' = A_L (Phi + delta) C_R keeps both hypotheses, so the tree
+    # verdicts and witnesses must be the dense ones, passing or failing
+    H = request.getfixturevalue(name)
+    CL, AL, CR, AR = _nested_tensorators(H.functor, *key)
+    Phi = matmul_chain(CL, H.phi[key], AR)
+    T, one = len(Phi), Cyc.rational(1)
+    # doubling Phi keeps every commutator but breaks the pentagon
+    deltas = [Phi, eye(T, one)]
+    for r, c, eps in ((0, 0, one), (T - 1, 0, one), (0, T - 1, TINY),
+                      (T // 2, T - 1, one)):
+        delta = zeros(T, T, one)
+        delta[r][c] = eps
+        deltas.append(delta)
+    failed = set()
+    for delta in deltas:
+        G = replace(H, phi={**H.phi, key: matmul_chain(AL, madd(Phi, delta),
+                                                       CR)})
+        found = _tree_witnesses(G)
+        assert found == (_dense_quasi_coassociativity(G), _dense_pentagon(G))
+        failed |= {i for i, ws in enumerate(found) if ws}
+    assert failed == {0, 1}
 
 
 @pytest.mark.parametrize("name", ORACLE_ALGEBRAS + ("z2_weak",))
